@@ -41,7 +41,6 @@ from .constrained import (
 )
 from .enumeration import (
     CountResult,
-    EnumerationNode,
     all_adjacency_sets,
     count_realizations,
     enumerate_all,

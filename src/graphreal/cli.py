@@ -24,7 +24,7 @@ from .core import (
     validate_input_sequence,
 )
 from .constrained import cg_test
-from .enumeration import count_realizations, enumerate_all, enumerate_all_parallel
+from .enumeration import count_realizations, enumerate_all
 from .graphicality import (
     NodeSelectionPolicy,
     erdos_gallai_test,
@@ -38,6 +38,18 @@ _POLICIES = {
     "min": NodeSelectionPolicy.MIN_RESIDUAL,
     "fixed": NodeSelectionPolicy.FIXED_LABEL_ORDER,
 }
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,10 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="stream every labeled realization")
     add_common(p_enum)
-    p_enum.add_argument("--limit", type=int, help="stop after this many graphs")
+    p_enum.add_argument(
+        "--limit", type=_at_least(0), help="stop after this many graphs"
+    )
     p_enum.add_argument("--format", choices=["text", "jsonlines"], default="text")
-    p_enum.add_argument("--threads", type=int, default=1)
-    p_enum.add_argument("--ordered", action="store_true")
+    p_enum.add_argument(
+        "--threads", type=int, default=1, help="ignored: enumeration is serial"
+    )
+    p_enum.add_argument(
+        "--ordered", action="store_true", help="ignored: output is always in order"
+    )
 
     p_count = sub.add_parser("count", help="exact number of labeled realizations")
     add_common(p_count)
@@ -88,14 +106,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw random realizations")
     add_common(p_sample)
     p_sample.add_argument("--method", choices=["weighted", "mr"], default="weighted")
-    p_sample.add_argument("--samples", type=int, default=1)
+    p_sample.add_argument("--samples", type=_at_least(1), default=1)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--early-reject", action="store_true")
     p_sample.add_argument("--format", choices=["text", "jsonlines"], default="text")
 
     p_est = sub.add_parser("estimate", help="importance-sampling count estimate")
     add_common(p_est)
-    p_est.add_argument("--samples", type=int, default=1000)
+    p_est.add_argument("--samples", type=_at_least(1), default=1000)
     p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument(
         "--with-exact",
@@ -169,10 +187,11 @@ def _cmd_test(args, sequences, out) -> int:
             exit_code = 1
             continue
         if forbid is not None:
+            # --forbid labels are input positions, so test the input order.
             if args.oracle:
-                ok = oracle_exists(OracleQuery(d.degrees, forbidden_star=forbid))
+                ok = oracle_exists(OracleQuery(raw, forbidden_star=forbid))
             else:
-                ok = cg_test(d, forbid.focal, forbid)
+                ok = cg_test(raw, forbid.focal, forbid)
         else:
             if args.oracle:
                 ok = oracle_exists(OracleQuery(d.degrees))
@@ -198,8 +217,6 @@ def _graphs_for_enumerate(args, d) -> Iterable[LabeledGraph]:
             oracle_enumerate(OracleQuery(d.degrees)),
             key=lambda g: g.canonical_edges(),
         )
-    if args.threads > 1:
-        return enumerate_all_parallel(d, threads=args.threads, ordered=args.ordered)
     return enumerate_all(d)
 
 
@@ -274,10 +291,19 @@ def _cmd_estimate(args, sequences, out) -> int:
         result = estimate_count(d, args.samples, seed)
         exact = str(count_realizations(d).count) if args.with_exact else "unknown"
         out.write(
-            f"estimate={float(result.estimate):.6f} "
+            f"estimate={_fixed6(result.estimate)} "
             f"stderr={result.stderr:.6f} exact={exact}\n"
         )
     return 0
+
+
+def _fixed6(x) -> str:
+    """Six-decimal text of a fraction, exact where a float would overflow."""
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        scaled = round(x * 10**6)
+        return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
 _COMMANDS = {

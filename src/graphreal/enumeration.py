@@ -1,9 +1,10 @@
 """Exhaustive construction of every labeled realization, and exact counts.
 
-The recursion picks the node of largest residual degree (smallest label on
-ties), generates every graphicality-preserving adjacency set for it in
-decreasing colexicographic order, and recurses on the reduced residuals.
-Each labeled graph is produced exactly once.
+Each level of the construction tree picks the node of largest residual
+degree (smallest label on ties), generates every graphicality-preserving
+adjacency set for it in decreasing colexicographic order, and descends on
+the reduced residuals.  Each labeled graph is produced exactly once.  One
+walker, ``_walk``, serves enumeration and both tree samplers.
 """
 
 from __future__ import annotations
@@ -22,23 +23,6 @@ _DOMINANCE_WINDOW = 8
 
 
 @dataclass(frozen=True)
-class EnumerationNode:
-    """A node of the construction tree: residuals plus the sets fixed so far."""
-
-    n: int
-    residual: tuple[int, ...]
-    chosen: tuple[AdjacencySet, ...]
-    depth: int
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for a in self.chosen:
-            for v in a.members:
-                out.append((a.focal, v) if a.focal < v else (v, a.focal))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class CountResult:
     count: int
     memo_hits: int
@@ -54,7 +38,7 @@ def rightmost_adjacency_set(d) -> AdjacencySet:
     """
     degs = as_residuals(d)
     n = len(degs)
-    if not erdos_gallai_test(tuple(sorted(degs, reverse=True))).graphical:
+    if not erdos_gallai_test(degs).graphical:
         raise NotGraphical(f"{list(degs)} is not graphical")
     d1 = degs[0]
     if d1 < 1:
@@ -111,8 +95,7 @@ def _all_sets(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                 if dominated(members):
                     out.append(members)
                 else:
-                    rest = sorted(new_res[1:], reverse=True)
-                    if erdos_gallai_test(tuple(rest)).graphical:
+                    if erdos_gallai_test(new_res[1:]).graphical:
                         out.append(members)
             else:
                 if cg_test(new_res, 1, frozenset(chosen) | {v}):
@@ -147,26 +130,53 @@ def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return labels, tuple(residual[v - 1] for v in labels)
 
 
-def _recurse(residual: list[int], acc: list[tuple[int, int]]) -> Iterator[
-    tuple[tuple[int, int], ...]
+def _walk(degs, pick=None) -> Iterator[
+    tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 ]:
-    labels, seq = _sorted_view(residual)
-    if not labels:
-        yield tuple(acc)
-        return
-    focal = labels[0]
-    for members in _all_sets_cached(seq):
-        neighbours = [labels[p - 1] for p in members]
-        for v in neighbours:
+    """Depth-first walk of the construction tree below the residuals ``degs``.
+
+    Yields ``(edges, branch_sizes)`` at each leaf, where ``branch_sizes``
+    holds the number of adjacency sets offered at each level of the path.
+    With ``pick`` None every set is taken in turn, in decreasing colex
+    order; otherwise ``pick(k)`` chooses one of the ``k`` sets at each
+    level and the walk ends at the single leaf it reaches.  The tree is
+    walked with an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
+    """
+    residual = list(degs)
+    edges: list[tuple[int, int]] = []
+    # One entry per level: [focal, labels, options, option index, saved residual].
+    stack: list[list] = []
+    while True:
+        labels, seq = _sorted_view(residual)
+        if labels:
+            options = _all_sets_cached(seq)
+            index = 0 if pick is None else pick(len(options))
+            stack.append([labels[0], labels, options, index, residual[labels[0] - 1]])
+        else:
+            yield tuple(edges), tuple(len(level[2]) for level in stack)
+            if pick is not None:
+                return
+            # Undo levels until one has a next option, then move to it.
+            while stack:
+                level = stack[-1]
+                focal, labels, options, index, saved = level
+                residual[focal - 1] = saved
+                for p in options[index]:
+                    residual[labels[p - 1] - 1] += 1
+                del edges[-len(options[index]):]
+                if index + 1 < len(options):
+                    level[3] = index + 1
+                    break
+                stack.pop()
+            else:
+                return
+        focal, labels, options, index, _ = stack[-1]
+        for p in options[index]:
+            v = labels[p - 1]
             residual[v - 1] -= 1
-            acc.append((focal, v) if focal < v else (v, focal))
-        saved = residual[focal - 1]
+            edges.append((focal, v) if focal < v else (v, focal))
         residual[focal - 1] = 0
-        yield from _recurse(residual, acc)
-        residual[focal - 1] = saved
-        for v in neighbours:
-            residual[v - 1] += 1
-        del acc[-len(neighbours):]
 
 
 def enumerate_all(d) -> Iterator[LabeledGraph]:
@@ -176,65 +186,21 @@ def enumerate_all(d) -> Iterator[LabeledGraph]:
     first, adjacency sets in decreasing colex order at every level.
     """
     degs = as_residuals(d)
-    n = len(degs)
-    if not erdos_gallai_test(tuple(sorted(degs, reverse=True))).graphical:
+    if not erdos_gallai_test(degs).graphical:
         return
-    for edges in _recurse(list(degs), []):
-        yield LabeledGraph(n, edges)
-
-
-def top_level_branches(d) -> list[EnumerationNode]:
-    """Split the construction tree at the root, one node per top-level set."""
-    degs = as_residuals(d)
-    n = len(degs)
-    if not erdos_gallai_test(tuple(sorted(degs, reverse=True))).graphical:
-        return []
-    labels, seq = _sorted_view(list(degs))
-    if not labels:
-        return [EnumerationNode(n, tuple(degs), (), 0)]
-    focal = labels[0]
-    branches = []
-    for members in _all_sets_cached(seq):
-        neighbours = tuple(labels[p - 1] for p in members)
-        residual = list(degs)
-        residual[focal - 1] = 0
-        for v in neighbours:
-            residual[v - 1] -= 1
-        chosen = (AdjacencySet(focal, tuple(sorted(neighbours))),)
-        branches.append(EnumerationNode(n, tuple(residual), chosen, 1))
-    return branches
-
-
-def enumerate_branch(node: EnumerationNode) -> Iterator[LabeledGraph]:
-    """Enumerate the subtree below one construction-tree node."""
-    for edges in _recurse(list(node.residual), list(node.edges())):
-        yield LabeledGraph(node.n, edges)
+    for edges, _ in _walk(degs):
+        yield LabeledGraph(len(degs), edges)
 
 
 def enumerate_all_parallel(
     d, threads: int = 1, ordered: bool = True
 ) -> Iterator[LabeledGraph]:
-    """Enumerate with worker threads owning disjoint top-level subtrees.
+    """Serial alias of :func:`enumerate_all`, kept for compatibility.
 
-    With ``ordered`` the output order matches single-threaded enumeration.
+    ``threads`` and ``ordered`` are ignored: the stream is always the
+    single-threaded one, in its deterministic order.
     """
-    if threads <= 1:
-        yield from enumerate_all(d)
-        return
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
-    branches = top_level_branches(d)
-    if branches and branches[0].depth == 0:
-        yield from enumerate_all(d)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(lambda b: list(enumerate_branch(b)), b) for b in branches]
-        if ordered:
-            for fut in futures:
-                yield from fut.result()
-        else:
-            for fut in as_completed(futures):
-                yield from fut.result()
+    return enumerate_all(d)
 
 
 def count_realizations(d, memoize: bool = True) -> CountResult:

@@ -37,13 +37,15 @@ class NodeSelectionPolicy(enum.Enum):
 
 
 def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
-    """Decide graphicality of a nonincreasing sequence.
+    """Decide graphicality of a degree sequence given in any order.
 
-    By default only prefixes k = 1..s are checked, where s is the largest
-    index with d_s >= s; ``check_all_k`` forces k = 1..n-1 instead (used by
-    the cutoff-soundness tests).  The empty sequence is graphical.
+    The entries are sorted nonincreasingly first, and ``first_violated_k``
+    and ``s_bound`` refer to that sorted order.  By default only prefixes
+    k = 1..s are checked, where s is the largest index with d_s >= s;
+    ``check_all_k`` forces k = 1..n-1 instead (used by the cutoff-soundness
+    tests).  The empty sequence is graphical.
     """
-    degs = as_residuals(d)
+    degs = sorted(as_residuals(d), reverse=True)
     n = len(degs)
     parity_ok = sum(degs) % 2 == 0
     if check_all_k:

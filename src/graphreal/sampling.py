@@ -20,7 +20,7 @@ from .core import (
     as_residuals,
 )
 from .constrained import cg_test
-from .enumeration import _all_sets, _all_sets_cached, _sorted_view
+from .enumeration import _walk
 from .graphicality import erdos_gallai_test
 
 _MASK = (1 << 64) - 1
@@ -83,36 +83,19 @@ class MrRunStats:
 
 
 def _check_graphical(degs: tuple[int, ...]) -> None:
-    if not erdos_gallai_test(tuple(sorted(degs, reverse=True))).graphical:
+    if not erdos_gallai_test(degs).graphical:
         raise NotGraphical(f"{list(degs)} is not graphical")
 
 
-def _descend(degs, rng: SplitMix64, reuse_sets: bool) -> RealizationSample:
-    sets_of = _all_sets_cached if reuse_sets else _all_sets
-    n = len(degs)
-    residual = list(degs)
-    edges: list[tuple[int, int]] = []
-    branch_sizes: list[int] = []
-    while True:
-        labels, seq = _sorted_view(residual)
-        if not labels:
-            break
-        options = sets_of(seq)
-        pick = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
-        branch_sizes.append(len(options))
-        focal = labels[0]
-        for p in pick:
-            v = labels[p - 1]
-            residual[v - 1] -= 1
-            edges.append((focal, v) if focal < v else (v, focal))
-        residual[focal - 1] = 0
-    probability = Fraction(1, math.prod(branch_sizes)) if branch_sizes else Fraction(1)
-    return RealizationSample(LabeledGraph(n, edges), probability, tuple(branch_sizes))
+def _draw(degs, rng: SplitMix64):
+    """``(edges, branch_sizes)`` of one root-to-leaf path of the tree,
+    uniform over the adjacency sets at each level.  A level with a single
+    set draws nothing from ``rng``.
+    """
+    return next(_walk(degs, lambda k: rng.randrange(k) if k > 1 else 0))
 
 
-def sample_weighted(
-    d, seed: int, stream: int = 0, reuse_sets: bool = True
-) -> RealizationSample:
+def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     """Walk the construction tree root to leaf, uniform at each level.
 
     The returned probability is exact: the product of the reciprocals of
@@ -121,17 +104,22 @@ def sample_weighted(
     """
     degs = as_residuals(d)
     _check_graphical(degs)
-    return _descend(degs, SplitMix64.stream(seed, stream), reuse_sets)
+    edges, branch_sizes = _draw(degs, SplitMix64.stream(seed, stream))
+    return RealizationSample(
+        LabeledGraph(len(degs), edges),
+        Fraction(1, math.prod(branch_sizes)),
+        branch_sizes,
+    )
 
 
-def estimate_count(
-    d, samples: int, seed: int, reuse_sets: bool = True
-) -> CountEstimate:
+def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     """Unbiased estimate of the number of realizations: the mean of 1/P(G).
 
     Each draw uses its own RNG stream, so batches may run concurrently and
     merge associatively.  The standard error is the sample standard
-    deviation of the weights divided by sqrt(samples).
+    deviation of the weights divided by sqrt(samples); it is computed
+    exactly and only the final square root is a float, so weights far
+    beyond the float range cannot overflow it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -140,53 +128,45 @@ def estimate_count(
     total = 0
     total_sq = 0
     for i in range(samples):
-        sample = _descend(degs, SplitMix64.stream(seed, i), reuse_sets)
-        w = math.prod(sample.branch_sizes)  # exactly 1 / P(G)
+        _, branch_sizes = _draw(degs, SplitMix64.stream(seed, i))
+        w = math.prod(branch_sizes)  # exactly 1 / P(G)
         total += w
         total_sq += w * w
     estimate = Fraction(total, samples)
     if samples > 1:
-        variance = (total_sq - total * total / samples) / (samples - 1)
-        stderr = math.sqrt(max(variance, 0.0) / samples)
+        # variance / samples, with variance = (S2 - S1^2 / N) / (N - 1)
+        stderr = _float_sqrt(Fraction(
+            total_sq * samples - total * total, samples * samples * (samples - 1)
+        ))
     else:
         stderr = float("inf")
     return CountEstimate(estimate, stderr, samples)
 
 
+def _float_sqrt(x: Fraction) -> float:
+    """The square root of a nonnegative fraction as a float; inf if too large."""
+    try:
+        return math.sqrt(x)
+    except OverflowError:  # x is beyond the float range, its root may not be
+        try:
+            return float(math.isqrt(x.numerator // x.denominator))
+        except OverflowError:
+            return math.inf
+
+
 def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
     """Every realization together with its weighted-sampler probability.
 
-    Replays the construction tree depth first, tracking the branch count
-    of each level, so that summing the probabilities over the full stream
-    yields exactly 1 for any graphical sequence.
+    Walks the whole construction tree depth first; the probability of a
+    leaf is the product of the reciprocals of the branch counts along its
+    path, so summing the probabilities over the full stream yields exactly
+    1 for any graphical sequence.
     """
     degs = as_residuals(d)
-    n = len(degs)
-    if not erdos_gallai_test(tuple(sorted(degs, reverse=True))).graphical:
+    if not erdos_gallai_test(degs).graphical:
         return
-
-    def rec(residual, acc, prob):
-        labels, seq = _sorted_view(residual)
-        if not labels:
-            yield LabeledGraph(n, acc), prob
-            return
-        options = _all_sets_cached(seq)
-        focal = labels[0]
-        child_prob = prob / len(options)
-        for members in options:
-            neighbours = [labels[p - 1] for p in members]
-            for v in neighbours:
-                residual[v - 1] -= 1
-                acc.append((focal, v) if focal < v else (v, focal))
-            saved = residual[focal - 1]
-            residual[focal - 1] = 0
-            yield from rec(residual, acc, child_prob)
-            residual[focal - 1] = saved
-            for v in neighbours:
-                residual[v - 1] += 1
-            del acc[-len(neighbours):]
-
-    yield from rec(list(degs), [], Fraction(1))
+    for edges, branch_sizes in _walk(degs):
+        yield LabeledGraph(len(degs), edges), Fraction(1, math.prod(branch_sizes))
 
 
 def molloy_reed_sample(

@@ -1,6 +1,9 @@
 """Shared generators for the exhaustive test families."""
 
+import contextlib
+import inspect
 import itertools
+import sys
 
 from graphreal.graphicality import erdos_gallai_test
 
@@ -30,3 +33,14 @@ def graphical_family(max_n=6):
 
 def canonical_set(graphs):
     return {g.canonical_edges() for g in graphs}
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames=100):
+    """Lower the recursion limit to the current stack depth plus ``frames``."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

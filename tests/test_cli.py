@@ -1,7 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 from io import StringIO
+
+import pytest
 
 from graphreal.cli import run
 from graphreal.core import graph_degree_sequence, parse_graphs
@@ -37,6 +40,17 @@ class TestTest:
         code, _, err = invoke(["test", "-s", "2 2 2 2", "--forbid", "1:2,3"])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_forbid_labels_in_input_order(self):
+        # Node 3 has degree 2; the graph 1-3, 2-3 avoids the edge 1-2.
+        for extra in ([], ["--oracle"]):
+            code, out, _ = invoke(["test", "-s", "1 1 2", "--forbid", "1:2", *extra])
+            assert (code, out) == (0, "graphical\n"), extra
+
+    def test_forbid_zero_degree_label(self):
+        # Forbidding an edge to a node of degree 0 constrains nothing.
+        code, out, _ = invoke(["test", "-s", "1 0 1", "--forbid", "1:2"])
+        assert (code, out) == (0, "graphical\n")
 
     def test_oracle_flag_agrees(self):
         assert invoke(["test", "-s", "3 3 2 2", "--oracle"])[:2] == invoke(
@@ -174,6 +188,37 @@ class TestEstimate:
         )
         assert out.endswith("exact=3\n")
 
+    def test_beyond_float_range_printed_exactly(self):
+        # 399!! is about 1.6e434, past the largest float.
+        code, out, err = invoke(
+            ["estimate", "-s", " ".join(["1"] * 400), "--samples", "2", "--seed", "1"]
+        )
+        assert (code, err) == (0, "")
+        want = math.prod(range(1, 400, 2))
+        assert out == f"estimate={want}.000000 stderr=0.000000 exact=unknown\n"
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "-s", "2 2 2 2", "--samples", "-1"],
+            ["sample", "-s", "2 2 2 2", "--samples", "0"],
+            ["estimate", "-s", "2 2 2 2", "--samples", "0"],
+            ["enumerate", "-s", "2 2 2 2", "--limit", "-1"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+
+    def test_zero_limit_is_empty(self):
+        assert invoke(["enumerate", "-s", "2 2 2 2", "--limit", "0"]) == (0, "", "")
+
 
 class TestErrors:
     def test_malformed_sequence(self):
@@ -190,6 +235,21 @@ class TestErrors:
         path.write_text("\n")
         code, _, err = invoke(["count", str(path)])
         assert code == 2
+
+
+def test_estimate_beyond_float_range():
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphreal", "estimate", "-s", " ".join(["1"] * 200),
+         "--samples", "2", "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    estimate = proc.stdout.split()[0].removeprefix("estimate=")
+    assert estimate.endswith(".000000")
+    assert float(estimate) == float(math.prod(range(1, 200, 2)))
+    assert proc.stdout.endswith(" stderr=0.000000 exact=unknown\n")
 
 
 def test_module_entry_point():

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from helpers import HH_GAP_COUNT, HH_GAP_SEQUENCE, canonical_set, graphical_family
+from helpers import (
+    HH_GAP_COUNT,
+    HH_GAP_SEQUENCE,
+    canonical_set,
+    graphical_family,
+    recursion_headroom,
+)
 
 from graphreal.core import NotGraphical, graph_degree_sequence
 from graphreal.constrained import cg_test, colex_less
@@ -11,9 +17,7 @@ from graphreal.enumeration import (
     count_realizations,
     enumerate_all,
     enumerate_all_parallel,
-    enumerate_branch,
     rightmost_adjacency_set,
-    top_level_branches,
 )
 from graphreal.graphicality import erdos_gallai_test
 from graphreal.oracle import OracleQuery, oracle_enumerate
@@ -131,6 +135,12 @@ class TestEnumerateAll:
             _, d = graph_degree_sequence(g)
             assert d.degrees == (3, 2, 2, 2, 1)
 
+    def test_tree_deeper_than_recursion_limit(self):
+        # 200 levels in the construction tree, with 100 frames to spare.
+        with recursion_headroom(100):
+            g = next(enumerate_all((1,) * 400))
+        assert g.m == 200
+
     def test_hh_unreachable_realization_exists(self):
         found = any(
             not g.has_edge(1, 2) and not (g.neighbors(1) & g.neighbors(2))
@@ -166,11 +176,6 @@ class TestCountRealizations:
 
 
 class TestParallelEnumeration:
-    def test_branches_partition_the_stream(self):
-        branches = top_level_branches(HH_GAP_SEQUENCE)
-        merged = [g for b in branches for g in enumerate_branch(b)]
-        assert merged == list(enumerate_all(HH_GAP_SEQUENCE))
-
     def test_ordered_parallel_matches_sequential(self):
         seq = (3, 3, 2, 2, 2, 2)
         assert list(enumerate_all_parallel(seq, threads=3, ordered=True)) == list(

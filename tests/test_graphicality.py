@@ -49,6 +49,16 @@ class TestErdosGallai:
             full = erdos_gallai_test(seq, check_all_k=True)
             assert cut.graphical == full.graphical, seq
 
+    def test_unsorted_order_not_graphical(self):
+        # (3, 3, 1, 1) is not graphical in any order.
+        assert not erdos_gallai_test((1, 1, 3, 3)).graphical
+
+    def test_every_order_gets_the_sorted_verdict(self):
+        for seq in exhaustive_family(max_n=6, max_deg=6):
+            want = erdos_gallai_test(seq).graphical
+            for perm in set(itertools.permutations(seq)):
+                assert erdos_gallai_test(perm).graphical == want, perm
+
 
 class TestHavelHakimiReduce:
     @pytest.mark.parametrize(

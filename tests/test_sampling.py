@@ -1,9 +1,17 @@
+import decimal
+import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from helpers import HH_GAP_SEQUENCE, canonical_set, graphical_family
+from helpers import (
+    HH_GAP_SEQUENCE,
+    canonical_set,
+    graphical_family,
+    recursion_headroom,
+)
 
 from graphreal.core import NotGraphical, RestartBudgetExceeded, graph_degree_sequence
 from graphreal.enumeration import count_realizations, enumerate_all
@@ -68,6 +76,22 @@ class TestSampleWeighted:
         with pytest.raises(NotGraphical):
             sample_weighted((3, 2, 1), 0)
 
+    def test_probability_matches_enumeration(self):
+        # The sampler and the full walk give each graph the same probability.
+        for seq in graphical_family(max_n=6):
+            probs = {
+                g.canonical_edges(): p for g, p in enumerate_with_probabilities(seq)
+            }
+            for seed in range(3):
+                s = sample_weighted(seq, seed)
+                assert s.probability == probs[s.graph.canonical_edges()], (seq, seed)
+
+    def test_tree_deeper_than_recursion_limit(self):
+        # 200 levels in the construction tree, with 100 frames to spare.
+        with recursion_headroom(100):
+            s = sample_weighted((1,) * 400, 1)
+        assert s.graph.m == 200
+
 
 class TestProbabilities:
     def test_normalization_exact(self):
@@ -103,6 +127,26 @@ class TestEstimateCount:
         a = estimate_count(HH_GAP_SEQUENCE, samples=200, seed=9)
         b = estimate_count(HH_GAP_SEQUENCE, samples=200, seed=9)
         assert a == b
+
+    def test_weights_beyond_float_range(self):
+        # Every draw on 1^200 has weight 199!!, about 6.7e186.
+        r = estimate_count((1,) * 200, 2, 1)
+        assert r.estimate == math.prod(range(1, 200, 2))
+        assert r.stderr == 0.0
+
+    def test_stderr_of_weights_beyond_float_range(self):
+        # Weights near 1e195 that differ: the variance exceeds the float range,
+        # the standard error does not.
+        d, n = (2,) * 4 + (1,) * 200, 4
+        weights = [1 / sample_weighted(d, 5, stream=i).probability for i in range(n)]
+        assert len(set(weights)) > 1
+        spread = Fraction(
+            n * sum(w * w for w in weights) - sum(weights) ** 2, n * n * (n - 1)
+        )
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            want = float((Decimal(spread.numerator) / spread.denominator).sqrt())
+        assert estimate_count(d, n, 5).stderr == pytest.approx(want, rel=1e-12)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
