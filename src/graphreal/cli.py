@@ -2,16 +2,18 @@
 
 Sequences are read from an inline argument, a file, or standard input (one
 sequence per line).  Exit codes: 0 success / graphical, 1 not graphical,
-2 malformed input.
+2 malformed input.  Every line of a batch is handled on its own: a line
+that fails gets an ``error:`` line on stderr, the batch goes on, and the
+exit code is the worst of any line.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from typing import Iterable
 
 from .core import (
     DegreeTooLarge,
@@ -78,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_test)
     p_test.add_argument(
         "--forbid",
+        type=_forbid_spec,
         metavar="i:j1,j2,...",
         help="forbid all connections from node i to the listed nodes",
     )
@@ -101,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="exact number of labeled realizations")
     add_common(p_count)
-    p_count.add_argument("--no-memo", action="store_true")
 
     p_sample = sub.add_parser("sample", help="draw random realizations")
     add_common(p_sample)
@@ -123,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_sequences(args) -> list[list[int]]:
+def _read_lines(args) -> list[str]:
     if args.sequence is not None:
-        return [parse_sequence(args.sequence)]
+        return [args.sequence]
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -134,19 +136,17 @@ def _read_sequences(args) -> list[list[int]]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("no degree sequences in input")
-    return [parse_sequence(line) for line in lines]
+    return lines
 
 
-def _parse_forbid(spec: str) -> ForbiddenSet:
+def _forbid_spec(spec: str) -> ForbiddenSet:
+    """An argparse type: ``i:j1,j2,...`` as the forbidden star of node i."""
     try:
         focal_part, members_part = spec.split(":", 1)
-        focal = int(focal_part)
-        members = frozenset(
-            int(tok) for tok in members_part.split(",") if tok.strip()
-        )
-    except ValueError as exc:
-        raise ParseError(f"bad --forbid spec {spec!r}") from exc
-    return ForbiddenSet(focal, members)
+        members = (int(tok) for tok in members_part.split(",") if tok.strip())
+        return ForbiddenSet(int(focal_part), frozenset(members))
+    except (ValueError, GraphRealError) as exc:
+        raise argparse.ArgumentTypeError(f"bad spec {spec!r}: {exc}") from exc
 
 
 def _relabel(g: LabeledGraph, permutation, n_original: int) -> LabeledGraph:
@@ -175,125 +175,89 @@ def _seed(args) -> int:
     return int(os.environ.get("GRAPHREAL_SEED", "0"))
 
 
-def _cmd_test(args, sequences, out) -> int:
-    forbid = _parse_forbid(args.forbid) if args.forbid else None
-    exit_code = 0
-    for raw in sequences:
-        try:
-            d = validate_input_sequence(raw)
-        except DegreeTooLarge:
-            # A degree above n-1 is simply non-graphical, e.g. {3,2,1}.
-            out.write("not-graphical\n")
-            exit_code = 1
-            continue
-        if forbid is not None:
+def _cmd_test(args, raw, out) -> int:
+    forbid = args.forbid
+    try:
+        d = validate_input_sequence(raw)
+    except DegreeTooLarge:
+        ok = False  # a degree above n-1 is simply non-graphical, e.g. {3,2,1}
+    else:
+        if forbid is not None and args.oracle:
             # --forbid labels are input positions, so test the input order.
-            if args.oracle:
-                ok = oracle_exists(OracleQuery(raw, forbidden_star=forbid))
-            else:
-                ok = cg_test(raw, forbid.focal, forbid)
+            ok = oracle_exists(OracleQuery(raw, forbidden_star=forbid))
+        elif forbid is not None:
+            ok = cg_test(raw, forbid.focal, forbid)
+        elif args.oracle:
+            ok = oracle_exists(OracleQuery(d.degrees))
         else:
-            if args.oracle:
-                ok = oracle_exists(OracleQuery(d.degrees))
-            else:
-                ok = erdos_gallai_test(d).graphical
-        out.write("graphical\n" if ok else "not-graphical\n")
-        if not ok:
-            exit_code = 1
-    return exit_code
+            ok = erdos_gallai_test(d).graphical
+    out.write("graphical\n" if ok else "not-graphical\n")
+    return 0 if ok else 1
 
 
-def _cmd_construct(args, sequences, out) -> int:
-    for raw in sequences:
-        d = validate_input_sequence(raw)
-        g = havel_hakimi_construct(d, _POLICIES[args.policy])
-        _emit_graph(_relabel(g, d.permutation, len(raw)), "text", out)
+def _cmd_construct(args, raw, out) -> int:
+    d = validate_input_sequence(raw)
+    g = havel_hakimi_construct(d, _POLICIES[args.policy])
+    _emit_graph(_relabel(g, d.permutation, len(raw)), "text", out)
     return 0
 
 
-def _graphs_for_enumerate(args, d) -> Iterable[LabeledGraph]:
+def _cmd_enumerate(args, raw, out) -> int:
+    try:
+        d = validate_input_sequence(raw)
+    except DegreeTooLarge:
+        return 0  # non-graphical: empty stream
     if args.oracle:
-        return sorted(
-            oracle_enumerate(OracleQuery(d.degrees)),
-            key=lambda g: g.canonical_edges(),
-        )
-    return enumerate_all(d)
-
-
-def _cmd_enumerate(args, sequences, out) -> int:
-    for raw in sequences:
-        try:
-            d = validate_input_sequence(raw)
-        except DegreeTooLarge:
-            continue  # non-graphical: empty stream
-        emitted = 0
-        for g in _graphs_for_enumerate(args, d):
-            if args.limit is not None and emitted >= args.limit:
-                break
-            _emit_graph(_relabel(g, d.permutation, len(raw)), args.format, out)
-            emitted += 1
+        graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
+                        key=LabeledGraph.canonical_edges)
+    else:
+        graphs = enumerate_all(d)
+    for g in itertools.islice(graphs, args.limit):
+        _emit_graph(_relabel(g, d.permutation, len(raw)), args.format, out)
     return 0
 
 
-def _cmd_count(args, sequences, out) -> int:
-    for raw in sequences:
-        try:
-            d = validate_input_sequence(raw)
-        except DegreeTooLarge:
-            out.write("count=0 memo_entries=0\n")
-            continue
-        if args.oracle:
-            out.write(f"count={len(oracle_enumerate(OracleQuery(d.degrees)))} "
-                      "memo_entries=0\n")
+def _cmd_count(args, raw, out) -> int:
+    try:
+        d = validate_input_sequence(raw)
+    except DegreeTooLarge:
+        out.write("count=0 memo_entries=0\n")
+        return 0
+    if args.oracle:
+        out.write(f"count={len(oracle_enumerate(OracleQuery(d.degrees)))} "
+                  "memo_entries=0\n")
+    else:
+        result = count_realizations(d)
+        out.write(f"count={result.count} memo_entries={result.memo_entries}\n")
+    return 0
+
+
+def _cmd_sample(args, raw, out) -> int:
+    seed = _seed(args)
+    d = validate_input_sequence(raw)
+    for k in range(args.samples):
+        if args.method == "weighted":
+            sample = sample_weighted(d, seed, stream=k)
+            g, p = sample.graph, sample.probability
+            footer = f"p={p.numerator}/{p.denominator}"
         else:
-            result = count_realizations(d, memoize=not args.no_memo)
-            out.write(f"count={result.count} memo_entries={result.memo_entries}\n")
+            g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
+            footer = (f"restarts={stats.restarts} "
+                      f"cg_rejects={stats.rejection_causes['cg_reject']}")
+        g = _relabel(g, d.permutation, len(raw))
+        _emit_graph(g, args.format, out, separator=False)
+        out.write(footer + "\n\n")
     return 0
 
 
-def _cmd_sample(args, sequences, out) -> int:
-    seed = _seed(args)
-    for raw in sequences:
-        d = validate_input_sequence(raw)
-        for k in range(args.samples):
-            if args.method == "weighted":
-                sample = sample_weighted(d, seed, stream=k)
-                _emit_graph(
-                    _relabel(sample.graph, d.permutation, len(raw)),
-                    args.format,
-                    out,
-                    separator=False,
-                )
-                p = sample.probability
-                out.write(f"p={p.numerator}/{p.denominator}\n")
-            else:
-                g, stats = molloy_reed_sample(
-                    d, seed, early_reject=args.early_reject, stream=k
-                )
-                _emit_graph(
-                    _relabel(g, d.permutation, len(raw)),
-                    args.format,
-                    out,
-                    separator=False,
-                )
-                out.write(
-                    f"restarts={stats.restarts} "
-                    f"cg_rejects={stats.rejection_causes['cg_reject']}\n"
-                )
-            out.write("\n")
-    return 0
-
-
-def _cmd_estimate(args, sequences, out) -> int:
-    seed = _seed(args)
-    for raw in sequences:
-        d = validate_input_sequence(raw)
-        result = estimate_count(d, args.samples, seed)
-        exact = str(count_realizations(d).count) if args.with_exact else "unknown"
-        out.write(
-            f"estimate={_fixed6(result.estimate)} "
-            f"stderr={result.stderr:.6f} exact={exact}\n"
-        )
+def _cmd_estimate(args, raw, out) -> int:
+    d = validate_input_sequence(raw)
+    result = estimate_count(d, args.samples, _seed(args))
+    exact = str(count_realizations(d).count) if args.with_exact else "unknown"
+    out.write(
+        f"estimate={_fixed6(result.estimate)} "
+        f"stderr={result.stderr:.6f} exact={exact}\n"
+    )
     return 0
 
 
@@ -316,20 +280,30 @@ _COMMANDS = {
 }
 
 
+def _failure(exc: Exception, err) -> int:
+    """Report ``exc`` on stderr; 1 for an infeasible input, 2 otherwise."""
+    err.write(f"error: {exc}\n")
+    return 1 if isinstance(exc, (NotGraphical, DegreeTooLarge)) else 2
+
+
 def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.subcommand]
     try:
-        sequences = _read_sequences(args)
-        return _COMMANDS[args.subcommand](args, sequences, out)
-    except (NotGraphical, DegreeTooLarge) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
+        lines = _read_lines(args)
     except (GraphRealError, OSError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+        return _failure(exc, err)
+    worst = 0
+    for line in lines:
+        try:
+            code = command(args, parse_sequence(line), out)
+        except (GraphRealError, OSError, ValueError) as exc:
+            code = _failure(exc, err)
+        worst = max(worst, code)
+    return worst
 
 
 def main() -> None:

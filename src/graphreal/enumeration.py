@@ -1,25 +1,26 @@
 """Exhaustive construction of every labeled realization, and exact counts.
 
 Each level of the construction tree picks the node of largest residual
-degree (smallest label on ties), generates every graphicality-preserving
+degree (smallest label on ties), offers every graphicality-preserving
 adjacency set for it in decreasing colexicographic order, and descends on
-the reduced residuals.  Each labeled graph is produced exactly once.  One
-walker, ``_walk``, serves enumeration and both tree samplers.
+the reduced residuals.  Each labeled graph is produced exactly once.  A set
+qualifies by how many members it takes from each class of equal degree
+alone, so A(d) is derived from these groupings.  One walker, ``_walk``,
+serves enumeration and both tree samplers.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, groupby, takewhile
+from math import comb, prod
 from typing import Iterator
 
-from .core import AdjacencySet, LabeledGraph, NotGraphical, as_residuals
+from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
 from .constrained import cg_test
 from .graphicality import erdos_gallai_test
-
-# Cap on how many recently accepted sets the dominance shortcut scans;
-# beyond that a full pairwise scan costs more than the EG test it saves.
-_DOMINANCE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -29,26 +30,31 @@ class CountResult:
     memo_entries: int
 
 
+def _focal_sequence(d) -> tuple[int, ...]:
+    """The positive part of ``d``, which must be nonincreasing (else
+    InvalidDegree), graphical and nonzero (else NotGraphical)."""
+    seq = tuple(x for x in DegreeSequence(as_residuals(d)).degrees if x > 0)
+    if not seq or not erdos_gallai_test(seq).graphical:
+        raise NotGraphical(f"no adjacency set of node 1 keeps {list(seq)} graphical")
+    return seq
+
+
 def rightmost_adjacency_set(d) -> AdjacencySet:
     """Colex-largest graphicality-preserving adjacency set of node 1.
 
     Connects node 1 to node n first (never breaks graphicality), then scans
     k = n-1 downwards, keeping each tentative connection iff the constrained
     graphicality test passes with the kept members as forbidden connections.
+    ``d`` must be nonincreasing; nodes of degree 0 are never members.
     """
-    degs = as_residuals(d)
+    degs = _focal_sequence(d)
     n = len(degs)
-    if not erdos_gallai_test(degs).graphical:
-        raise NotGraphical(f"{list(degs)} is not graphical")
-    d1 = degs[0]
-    if d1 < 1:
-        raise NotGraphical("rightmost set needs d_1 >= 1")
     residual = list(degs)
     residual[0] -= 1
     residual[n - 1] -= 1
     members = [n]
     k = n - 1
-    while len(members) < d1:
+    while len(members) < degs[0]:
         # Graphicality of the input guarantees the scan never exhausts.
         assert k >= 2, "rightmost-set scan exhausted on a graphical sequence"
         if residual[k - 1] > 0:
@@ -62,117 +68,139 @@ def rightmost_adjacency_set(d) -> AdjacencySet:
     return AdjacencySet(1, tuple(sorted(members)))
 
 
-def _all_sets(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All graphicality-preserving adjacency sets of node 1, decreasing colex.
+@lru_cache(maxsize=1 << 14)
+def _groupings(seq: tuple[int, ...]) -> tuple[tuple[tuple, int, tuple], ...]:
+    """The graphicality-preserving groupings of node 1's neighbours.
 
-    ``seq`` must be nonincreasing with positive entries.  Candidates are
-    grown by prefix extension from the largest element down, pruning any
-    prefix that fails the CG test with the chosen-so-far as forbidden set.
-    A candidate elementwise below a recently accepted set is accepted
-    without a graphicality check (left shifts preserve graphicality).
+    ``seq`` must be nonincreasing with positive entries; nodes 2..n fall
+    into classes of equal degree.  A grouping is ``(picks, ways, child)``:
+    ``picks`` holds ``(first position, size, k)`` for each class giving
+    k >= 1 members, ``ways`` = prod C(size, k) counts the adjacency sets
+    with those picks, and ``child`` is the sorted positive multiset all of
+    them leave.
     """
-    ar = rightmost_adjacency_set(seq).members
-    d1 = seq[0]
-    n = len(seq)
-    out: list[tuple[int, ...]] = []
-
-    def dominated(members: tuple[int, ...]) -> bool:
-        for acc in out[-_DOMINANCE_WINDOW:]:
-            if all(m <= a for m, a in zip(members, acc)):
-                return True
-        return False
-
-    def extend(pos: int, chosen: list[int], residual: list[int], tight: bool):
-        hi = ar[pos - 1] if tight else chosen[-1] - 1
-        for v in range(hi, pos, -1):
-            if residual[v - 1] == 0:
-                continue
-            new_res = list(residual)
-            new_res[0] -= 1
-            new_res[v - 1] -= 1
-            if pos == 1:
-                members = tuple(sorted(chosen + [v]))
-                if dominated(members):
-                    out.append(members)
-                else:
-                    if erdos_gallai_test(new_res[1:]).graphical:
-                        out.append(members)
-            else:
-                if cg_test(new_res, 1, frozenset(chosen) | {v}):
-                    extend(
-                        pos - 1,
-                        chosen + [v],
-                        new_res,
-                        tight and v == ar[pos - 1],
-                    )
-
-    extend(d1, [], list(seq), True)
+    classes, first = [], 2  # (degree, first position, size) of nodes 2..n
+    for deg, run in groupby(seq[1:]):
+        classes.append((deg, first, len(list(run))))
+        first += classes[-1][2]
+    # Choose k class by class, keeping the choices that the classes still to
+    # come can complete to d_1 members.
+    room, choices = len(seq) - 1, [((), seq[0])]
+    for _, _, size in classes:
+        room -= size
+        choices = [
+            (ks + (k,), left - k)
+            for ks, left in choices
+            for k in range(min(size, left) + 1)
+            if left - k <= room
+        ]
+    out = []
+    for ks, _ in choices:
+        child = tuple(x for (deg, _, size), k in zip(classes, ks)
+                      for x in [deg] * (size - k) + [deg - 1] * k if x > 0)
+        if erdos_gallai_test(child).graphical:
+            picks = tuple((first, size, k)
+                          for (_, first, size), k in zip(classes, ks) if k)
+            out.append((picks, prod(comb(size, k) for _, size, k in picks), child))
     return tuple(out)
 
 
-# The family of adjacency sets depends only on the sorted residual sequence,
-# so results are shared across enumeration, counting and sampling.
-_all_sets_cached = lru_cache(maxsize=1 << 16)(_all_sets)
+def _sets_of(picks: tuple) -> Iterator[tuple[int, ...]]:
+    """The sets of one grouping, members decreasing, in decreasing colex
+    order: the class of the highest positions varies slowest."""
+    *inner, (first, size, k) = picks
+    parts = combinations(range(first + size - 1, first - 1, -1), k)
+    if not inner:
+        return parts
+    return (part + rest for part in parts for rest in _sets_of(inner))
+
+
+def _adjacency_sets(groupings) -> Iterator[tuple[int, ...]]:
+    """Members (positions, decreasing) of every set of the ``groupings`` of
+    a multiset, in decreasing colex order, merged lazily."""
+    runs = [_sets_of(picks) for picks, _, _ in groupings]
+    return runs[0] if len(runs) == 1 else heapq.merge(*runs, reverse=True)
+
+
+def _nth_set(groupings, r: int) -> tuple[int, ...]:
+    """A bijection from range(|A|) onto the sets A of the ``groupings``,
+    members decreasing: ``r`` falls in one grouping, and the digits of its
+    offset there, in the mixed radix of the C(size, k), rank one k-subset
+    of each class."""
+    for picks, ways, _ in groupings:
+        if r < ways:
+            break
+        r -= ways
+    members = []
+    for first, size, k in reversed(picks):
+        r, rank = divmod(r, comb(size, k))
+        x = size
+        for j in range(k, 0, -1):  # the combinatorial number system
+            x -= 1
+            while comb(x, j) > rank:
+                x -= 1
+            members.append(first + x)
+            rank -= comb(x, j)
+    return tuple(members)
 
 
 def all_adjacency_sets(d) -> list[AdjacencySet]:
-    """The set A(d) for node 1, ordered colex-decreasing starting at A_R."""
-    seq = as_residuals(d)
-    return [AdjacencySet(1, m) for m in _all_sets(tuple(seq))]
+    """The set A(d) for node 1, ordered colex-decreasing starting at A_R.
+    ``d`` must be nonincreasing; nodes of degree 0 are never members."""
+    groupings = _groupings(_focal_sequence(d))
+    return [AdjacencySet(1, m[::-1]) for m in _adjacency_sets(groupings)]
 
 
 def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
     """Surviving labels ordered by (residual desc, label asc), plus degrees."""
-    labels = sorted(
-        (v for v in range(1, len(residual) + 1) if residual[v - 1] > 0),
-        key=lambda v: (-residual[v - 1], v),
-    )
-    return labels, tuple(residual[v - 1] for v in labels)
+    # A stable sort keeps labels ascending among equal residuals.
+    order = sorted(range(len(residual)), key=residual.__getitem__, reverse=True)
+    degs = tuple(takewhile(bool, map(residual.__getitem__, order)))
+    return [v + 1 for v in order[:len(degs)]], degs
 
 
-def _walk(degs, pick=None) -> Iterator[
-    tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
-]:
+def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """Depth-first walk of the construction tree below the residuals ``degs``.
 
     Yields ``(edges, branch_sizes)`` at each leaf, where ``branch_sizes``
     holds the number of adjacency sets offered at each level of the path.
     With ``pick`` None every set is taken in turn, in decreasing colex
-    order; otherwise ``pick(k)`` chooses one of the ``k`` sets at each
-    level and the walk ends at the single leaf it reaches.  The tree is
-    walked with an explicit stack, so its depth is not bounded by Python's
-    recursion limit.
+    order; otherwise ``pick(k)`` draws an index into the ``k`` sets at each
+    level, which ``_nth_set`` maps to a set without building A(d), and the
+    walk ends at the single leaf it reaches.  The tree is walked with an
+    explicit stack, so its depth is not bounded by Python's recursion limit.
     """
     residual = list(degs)
     edges: list[tuple[int, int]] = []
-    # One entry per level: [focal, labels, options, option index, saved residual].
+    # Per level: [focal, labels, later sets, current set, saved residual, size].
     stack: list[list] = []
     while True:
         labels, seq = _sorted_view(residual)
         if labels:
-            options = _all_sets_cached(seq)
-            index = 0 if pick is None else pick(len(options))
-            stack.append([labels[0], labels, options, index, residual[labels[0] - 1]])
+            groupings = _groupings(seq)
+            size = sum(ways for _, ways, _ in groupings)
+            sets = (_adjacency_sets(groupings) if pick is None
+                    else iter([_nth_set(groupings, pick(size))]))
+            focal = labels[0]
+            stack.append([focal, labels, sets, next(sets), residual[focal - 1], size])
         else:
-            yield tuple(edges), tuple(len(level[2]) for level in stack)
-            if pick is not None:
-                return
-            # Undo levels until one has a next option, then move to it.
+            yield tuple(edges), tuple(level[5] for level in stack)
+            # Undo levels until one has a next set, then move to it.
             while stack:
                 level = stack[-1]
-                focal, labels, options, index, saved = level
+                focal, labels, sets, current, saved, _ = level
                 residual[focal - 1] = saved
-                for p in options[index]:
+                for p in current:
                     residual[labels[p - 1] - 1] += 1
-                del edges[-len(options[index]):]
-                if index + 1 < len(options):
-                    level[3] = index + 1
+                del edges[-len(current):]
+                level[3] = next(sets, None)
+                if level[3] is not None:
                     break
                 stack.pop()
             else:
                 return
-        focal, labels, options, index, _ = stack[-1]
-        for p in options[index]:
+        focal, labels, _, current = stack[-1][:4]
+        for p in current:
             v = labels[p - 1]
             residual[v - 1] -= 1
             edges.append((focal, v) if focal < v else (v, focal))
@@ -203,37 +231,34 @@ def enumerate_all_parallel(
     return enumerate_all(d)
 
 
-def count_realizations(d, memoize: bool = True) -> CountResult:
-    """Exact number of labeled realizations via the branch-sum recursion.
+def count_realizations(d) -> CountResult:
+    """Exact number of labeled realizations: count(d) is the sum over the
+    groupings of node 1's neighbours of ways * count(child).
 
     The memo key is the sorted multiset of positive residual degrees: the
     count is invariant under relabeling (any permutation of labels bijects
-    the realization sets), so it depends only on the degree multiset.
+    the realization sets), so it depends only on the degree multiset.  The
+    multisets still to count are kept on an explicit stack, so long chains
+    do not hit Python's recursion limit.
     """
     degs = as_residuals(d)
     key = tuple(sorted((x for x in degs if x > 0), reverse=True))
     if not erdos_gallai_test(key).graphical:
         return CountResult(0, 0, 0)
-    memo: dict[tuple[int, ...], int] | None = {} if memoize else None
-    hits = 0
-
-    def count(seq: tuple[int, ...]) -> int:
-        nonlocal hits
-        if not seq:
-            return 1
-        if memo is not None and seq in memo:
-            hits += 1
-            return memo[seq]
-        total = 0
-        for members in _all_sets_cached(seq):
-            child = list(seq)
-            child[0] = 0
-            for p in members:
-                child[p - 1] -= 1
-            total += count(tuple(sorted((x for x in child if x > 0), reverse=True)))
-        if memo is not None:
-            memo[seq] = total
-        return total
-
-    total = count(key)
-    return CountResult(total, hits, len(memo) if memo is not None else 0)
+    memo: dict[tuple[int, ...], int] = {(): 1}
+    lookups = 0  # references to nonempty children
+    stack = [key] if key else []
+    while stack:
+        groupings = _groupings(stack[-1])
+        pending = [child for _, _, child in groupings if child not in memo]
+        if pending:
+            stack += pending
+            continue
+        seq = stack.pop()
+        if seq not in memo:  # a multiset may be pushed more than once
+            memo[seq] = sum(ways * memo[child] for _, ways, child in groupings)
+            lookups += sum(1 for _, _, child in groupings if child)
+    entries = len(memo) - 1  # the empty multiset is not an entry
+    # Each multiset below the root is counted on its first reference, and
+    # every later reference is answered from the memo.
+    return CountResult(memo[key], lookups - max(entries - 1, 0), entries)

@@ -216,6 +216,13 @@ class TestBadCounts:
         assert captured.out == ""
         assert "error: argument --" in captured.err
 
+    def test_bad_forbid_spec_rejected_at_parse_time(self, capsys):
+        for spec in ["1-2", "1:x", "2:2"]:
+            with pytest.raises(SystemExit) as info:
+                run(["test", "-s", "2 2 2 2", "--forbid", spec])
+            assert info.value.code == 2, spec
+            assert "error: argument --forbid" in capsys.readouterr().err
+
     def test_zero_limit_is_empty(self):
         assert invoke(["enumerate", "-s", "2 2 2 2", "--limit", "0"]) == (0, "", "")
 
@@ -235,6 +242,75 @@ class TestErrors:
         path.write_text("\n")
         code, _, err = invoke(["count", str(path)])
         assert code == 2
+
+
+class TestBatchPolicy:
+    # Every line is handled on its own: a failing line reports "error: ..."
+    # on stderr, later lines still run, and the exit code is the worst one.
+    BATCH = "2 2 2 2\n3 1 1\n1 1\n"
+
+    def batch(self, tmp_path, argv, text=BATCH):
+        path = tmp_path / "seqs.txt"
+        path.write_text(text)
+        return invoke([*argv, str(path)])
+
+    def test_construct_goes_on_after_infeasible_line(self, tmp_path):
+        code, out, err = self.batch(tmp_path, ["construct"])
+        assert code == 1
+        assert [g.degrees() for g in parse_graphs(out)] == [(2, 2, 2, 2), (1, 1)]
+        assert err == "error: degree 3 exceeds n-1 = 2\n"
+
+    def test_sample_goes_on_after_infeasible_line(self, tmp_path):
+        for method in ("weighted", "mr"):
+            code, out, err = self.batch(
+                tmp_path, ["sample", "--method", method, "--seed", "1"]
+            )
+            assert code == 1, method
+            blocks = [b for b in out.split("\n\n") if b.strip()]
+            assert [b.splitlines()[0] for b in blocks] == [
+                "graph n=4 m=4",
+                "graph n=2 m=1",
+            ], method
+            assert err.count("error:") == 1, method
+
+    def test_estimate_goes_on_after_infeasible_line(self, tmp_path):
+        code, out, err = self.batch(tmp_path, ["estimate", "--samples", "5"])
+        assert code == 1
+        assert out.splitlines() == [
+            "estimate=3.000000 stderr=0.000000 exact=unknown",
+            "estimate=1.000000 stderr=0.000000 exact=unknown",
+        ]
+        assert err.count("error:") == 1
+
+    def test_worst_exit_code_wins(self, tmp_path):
+        code, out, err = self.batch(tmp_path, ["construct"], "3 1 1\n2 x\n1 1\n")
+        assert code == 2
+        assert len(parse_graphs(out)) == 1
+        assert err.count("error:") == 2
+
+    def test_infeasible_lines_keep_their_output(self, tmp_path):
+        assert self.batch(tmp_path, ["test"]) == (
+            1, "graphical\nnot-graphical\ngraphical\n", ""
+        )
+        assert self.batch(tmp_path, ["count"]) == (
+            0, "count=3 memo_entries=2\ncount=0 memo_entries=0\n"
+            "count=1 memo_entries=1\n", ""
+        )
+        code, out, err = self.batch(tmp_path, ["enumerate"])
+        assert (code, err, len(parse_graphs(out))) == (0, "", 4)
+
+
+def test_count_deeper_than_recursion_limit():
+    # 2,400 ones: a chain of 1,200 multisets.
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphreal", "count", "-s", " ".join(["1"] * 2400)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"count={math.prod(range(1, 2400, 2))} memo_entries=1200\n"
+    )
 
 
 def test_estimate_beyond_float_range():

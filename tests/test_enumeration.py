@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -10,7 +11,8 @@ from helpers import (
     recursion_headroom,
 )
 
-from graphreal.core import NotGraphical, graph_degree_sequence
+from graphreal import constrained, enumeration, sampling
+from graphreal.core import InvalidDegree, NotGraphical, graph_degree_sequence
 from graphreal.constrained import cg_test, colex_less
 from graphreal.enumeration import (
     all_adjacency_sets,
@@ -38,6 +40,19 @@ class TestRightmostAdjacencySet:
     def test_not_graphical(self):
         with pytest.raises(NotGraphical):
             rightmost_adjacency_set((3, 2, 1))
+
+    def test_zero_degree_node_is_never_a_member(self):
+        assert rightmost_adjacency_set((1, 1, 0)).members == (2,)
+        assert rightmost_adjacency_set((2, 2, 2, 0)).members == (2, 3)
+
+    def test_rejects_increasing_input(self):
+        with pytest.raises(InvalidDegree):
+            rightmost_adjacency_set((1, 2, 1))
+
+    def test_first_of_all_adjacency_sets(self):
+        # The paper's CG scan and the degree-class groupings agree on A_R.
+        for seq in graphical_family(max_n=7):
+            assert rightmost_adjacency_set(seq) == all_adjacency_sets(seq)[0], seq
 
     def test_colex_maximality(self):
         # No adjacency set colex-greater than A_R preserves graphicality.
@@ -76,6 +91,17 @@ class TestAllAdjacencySets:
     )
     def test_examples(self, seq, expected):
         assert [a.members for a in all_adjacency_sets(seq)] == expected
+
+    def test_zero_degree_node_is_never_a_member(self):
+        assert [a.members for a in all_adjacency_sets((2, 2, 2, 0))] == [(2, 3)]
+
+    def test_rejects_increasing_input(self):
+        with pytest.raises(InvalidDegree):
+            all_adjacency_sets((1, 1, 2, 2))
+
+    def test_not_graphical(self):
+        with pytest.raises(NotGraphical):
+            all_adjacency_sets((3, 3, 1, 1))
 
     def test_matches_declarative_definition(self):
         # A(d) is exactly the graphicality-preserving sets at or colex-below
@@ -141,6 +167,11 @@ class TestEnumerateAll:
             g = next(enumerate_all((1,) * 400))
         assert g.m == 200
 
+    def test_large_first_level_is_not_built(self):
+        # A(d) of the first node holds about 6e6 sets; one graph needs one.
+        g = next(enumerate_all((3, 3) + (1,) * 330))
+        assert g.m == (6 + 330) // 2
+
     def test_hh_unreachable_realization_exists(self):
         found = any(
             not g.has_edge(1, 2) and not (g.neighbors(1) & g.neighbors(2))
@@ -163,16 +194,30 @@ class TestCountRealizations:
     def test_examples(self, seq, expected):
         assert count_realizations(seq).count == expected
 
-    def test_memoized_and_plain_agree(self):
-        for seq in graphical_family(max_n=6):
-            memo = count_realizations(seq, memoize=True)
-            plain = count_realizations(seq, memoize=False)
-            assert memo.count == plain.count, seq
-            assert plain.memo_entries == 0
+    def test_chain_deeper_than_recursion_limit(self):
+        # 200 multisets in one chain, with 100 frames to spare.
+        with recursion_headroom(100):
+            result = count_realizations((1,) * 400)
+        assert result.count == math.prod(range(1, 400, 2))
+        assert result.memo_entries == 200
 
     def test_count_equals_stream_length(self):
         for seq in graphical_family(max_n=6):
             assert count_realizations(seq).count == sum(1 for _ in enumerate_all(seq))
+
+
+def test_no_cg_test_on_construction_paths(monkeypatch):
+    # A(d) comes from degree classes and Erdos-Gallai alone.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cg_test called")
+
+    for module in (enumeration, sampling, constrained):
+        monkeypatch.setattr(module, "cg_test", forbidden)
+    enumeration._groupings.cache_clear()
+    assert count_realizations(HH_GAP_SEQUENCE).count == HH_GAP_COUNT
+    assert sum(1 for _ in enumerate_all(HH_GAP_SEQUENCE)) == HH_GAP_COUNT
+    sampling.sample_weighted(HH_GAP_SEQUENCE, 1)
+    sampling.estimate_count(HH_GAP_SEQUENCE, 10, 1)
 
 
 class TestParallelEnumeration:

@@ -13,8 +13,13 @@ from helpers import (
     recursion_headroom,
 )
 
-from graphreal.core import NotGraphical, RestartBudgetExceeded, graph_degree_sequence
-from graphreal.enumeration import count_realizations, enumerate_all
+from graphreal.core import (
+    LabeledGraph,
+    NotGraphical,
+    RestartBudgetExceeded,
+    graph_degree_sequence,
+)
+from graphreal.enumeration import _walk, count_realizations, enumerate_all
 from graphreal.sampling import (
     SplitMix64,
     enumerate_with_probabilities,
@@ -92,6 +97,44 @@ class TestSampleWeighted:
             s = sample_weighted((1,) * 400, 1)
         assert s.graph.m == 200
 
+    def test_every_draw_reaches_a_distinct_realization(self):
+        # Replay every sequence of drawn indices: together they reach each
+        # realization exactly once, with its enumeration probability.
+        for seq in graphical_family(max_n=6):
+            probs = {
+                g.canonical_edges(): p for g, p in enumerate_with_probabilities(seq)
+            }
+            reached = {}
+            for edges, sizes in every_draw(seq):
+                graph = LabeledGraph(len(seq), edges).canonical_edges()
+                assert graph not in reached, (seq, graph)
+                reached[graph] = Fraction(1, math.prod(sizes))
+            assert reached == probs, seq
+
+    def test_large_first_level_is_not_built(self):
+        # A(d) of the first node holds about 6e6 sets; one draw needs none.
+        d = (3, 3) + (1,) * 330
+        s = sample_weighted(d, 1)
+        assert s.graph.m == (6 + 330) // 2
+        assert s.branch_sizes[0] == math.comb(330, 2) + math.comb(330, 3)
+        assert estimate_count(d, 3, 1).estimate > 0
+
+
+def every_draw(seq):
+    """``(edges, branch_sizes)`` of the sampler's walk for every sequence of
+    drawn indices, counted like an odometer over the branch sizes."""
+    path = []
+    while True:
+        replay = iter(path)
+        edges, sizes = next(_walk(seq, lambda k: next(replay, 0)))
+        yield edges, sizes
+        path += [0] * (len(sizes) - len(path))
+        while path and path[-1] + 1 == sizes[len(path) - 1]:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+
 
 class TestProbabilities:
     def test_normalization_exact(self):
@@ -138,7 +181,7 @@ class TestEstimateCount:
         # Weights near 1e195 that differ: the variance exceeds the float range,
         # the standard error does not.
         d, n = (2,) * 4 + (1,) * 200, 4
-        weights = [1 / sample_weighted(d, 5, stream=i).probability for i in range(n)]
+        weights = [1 / sample_weighted(d, 6, stream=i).probability for i in range(n)]
         assert len(set(weights)) > 1
         spread = Fraction(
             n * sum(w * w for w in weights) - sum(weights) ** 2, n * n * (n - 1)
@@ -146,7 +189,7 @@ class TestEstimateCount:
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             want = float((Decimal(spread.numerator) / spread.denominator).sqrt())
-        assert estimate_count(d, n, 5).stderr == pytest.approx(want, rel=1e-12)
+        assert estimate_count(d, n, 6).stderr == pytest.approx(want, rel=1e-12)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
