@@ -228,7 +228,8 @@ def _cmd_count(args, raw, out) -> int:
                   "memo_entries=0\n")
     else:
         result = count_realizations(d)
-        out.write(f"count={result.count} memo_entries={result.memo_entries}\n")
+        out.write(f"count={_decimal(result.count)} "
+                  f"memo_entries={result.memo_entries}\n")
     return 0
 
 
@@ -239,7 +240,7 @@ def _cmd_sample(args, raw, out) -> int:
         if args.method == "weighted":
             sample = sample_weighted(d, seed, stream=k)
             g, p = sample.graph, sample.probability
-            footer = f"p={p.numerator}/{p.denominator}"
+            footer = f"p={_decimal(p.numerator)}/{_decimal(p.denominator)}"
         else:
             g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
             footer = (f"restarts={stats.restarts} "
@@ -253,7 +254,7 @@ def _cmd_sample(args, raw, out) -> int:
 def _cmd_estimate(args, raw, out) -> int:
     d = validate_input_sequence(raw)
     result = estimate_count(d, args.samples, _seed(args))
-    exact = str(count_realizations(d).count) if args.with_exact else "unknown"
+    exact = _decimal(count_realizations(d).count) if args.with_exact else "unknown"
     out.write(
         f"estimate={_fixed6(result.estimate)} "
         f"stderr={result.stderr:.6f} exact={exact}\n"
@@ -267,7 +268,25 @@ def _fixed6(x) -> str:
         return f"{float(x):.6f}"
     except OverflowError:
         scaled = round(x * 10**6)
-        return f"{scaled // 10**6}.{scaled % 10**6:06d}"
+        return f"{_decimal(scaled // 10**6)}.{scaled % 10**6:06d}"
+
+
+_CHUNK_DIGITS = 4000  # below Python's default limit of 4,300 digits per str()
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """Exact decimal text of a nonnegative integer of any size.
+
+    ``str`` refuses integers beyond the interpreter's digit limit, so the
+    value is converted in chunks of at most ``_CHUNK_DIGITS`` digits.
+    """
+    chunks = []
+    while x >= _CHUNK:
+        x, low = divmod(x, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(x))
+    return "".join(reversed(chunks))
 
 
 _COMMANDS = {

@@ -9,6 +9,7 @@ from .core import (
     AdjacencySet,
     ForbiddenSet,
     Incomparable,
+    InvalidDegree,
     InvalidSet,
     TooManyForbidden,
     as_residuals,
@@ -30,10 +31,11 @@ class ReducedSequence:
 
     @property
     def has_negative(self) -> bool:
-        return any(x < 0 for x in self.residuals)
+        return bool(self.residuals) and min(self.residuals) < 0
 
     def sorted_positive(self) -> tuple[int, ...]:
-        return tuple(sorted((x for x in self.residuals if x > 0), reverse=True))
+        positive = filter((0).__lt__, self.residuals)  # x > 0
+        return tuple(sorted(positive, reverse=True))
 
 
 def _forbidden_members(x, focal: int) -> frozenset[int]:
@@ -46,7 +48,10 @@ def _forbidden_members(x, focal: int) -> frozenset[int]:
 
 def reduce_by_set(d, a: AdjacencySet) -> ReducedSequence:
     """Remove the focal node, decrementing each member's degree by one."""
-    degs = as_residuals(d)
+    return _reduce(as_residuals(d), a)
+
+
+def _reduce(degs: tuple[int, ...], a: AdjacencySet) -> ReducedSequence:
     n = len(degs)
     if not (1 <= a.focal <= n):
         raise InvalidSet(f"focal {a.focal} outside 1..{n}")
@@ -79,9 +84,13 @@ def leftmost_restricted(d, i: int, x) -> AdjacencySet:
     On a nonincreasing sequence this is exactly the d_i lowest-index nodes
     outside the forbidden set; the residual-degree ordering generalizes it
     to unsorted residual views (ties cannot affect the CG verdict because
-    tied allowed nodes produce identical reduced multisets).
+    tied allowed nodes produce identical reduced multisets).  A negative
+    d_i raises InvalidDegree.
     """
-    degs = as_residuals(d)
+    return _leftmost(as_residuals(d), i, x)
+
+
+def _leftmost(degs: tuple[int, ...], i: int, x) -> AdjacencySet:
     n = len(degs)
     if not (1 <= i <= n):
         raise InvalidSet(f"focal {i} outside 1..{n}")
@@ -89,12 +98,16 @@ def leftmost_restricted(d, i: int, x) -> AdjacencySet:
     if any(not (1 <= m <= n) for m in forbidden):
         raise InvalidSet(f"forbidden set {sorted(forbidden)} outside 1..{n}")
     di = degs[i - 1]
+    if di < 0:
+        raise InvalidDegree(f"focal {i} has negative degree {di}")
     if len(forbidden) > n - 1 - di:
         raise TooManyForbidden(
             f"|X|={len(forbidden)} exceeds n-1-d_i={n - 1 - di}"
         )
     allowed = [j for j in range(1, n + 1) if j != i and j not in forbidden]
-    allowed.sort(key=lambda j: (-degs[j - 1], j))
+    # Largest degree first; the sort is stable, also reversed, so ties stay
+    # in label order.
+    allowed.sort(key=(0, *degs).__getitem__, reverse=True)
     return AdjacencySet(i, tuple(sorted(allowed[:di])))
 
 
@@ -105,8 +118,8 @@ def cg_test(d, i: int, x=frozenset()) -> bool:
     graphical: no negative residual and the Erdos-Gallai test passes on
     the sorted positive part.
     """
-    left = leftmost_restricted(d, i, x)
-    reduced = reduce_by_set(d, left)
+    degs = as_residuals(d)
+    reduced = _reduce(degs, _leftmost(degs, i, x))
     if reduced.has_negative:
         return False
     return erdos_gallai_test(reduced.sorted_positive()).graphical

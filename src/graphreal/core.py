@@ -102,7 +102,7 @@ def as_residuals(d) -> tuple[int, ...]:
     """Coerce a DegreeSequence or plain iterable into a per-label tuple."""
     if isinstance(d, DegreeSequence):
         return d.degrees
-    return tuple(int(x) for x in d)
+    return tuple(map(int, d))
 
 
 def validate_input_sequence(raw: Sequence[int]) -> DegreeSequence:

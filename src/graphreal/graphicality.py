@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     DegreeSequence,
     DegreeTooLarge,
+    InvalidDegree,
     LabeledGraph,
     NotGraphical,
     as_residuals,
@@ -43,10 +46,18 @@ def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
     and ``s_bound`` refer to that sorted order.  By default only prefixes
     k = 1..s are checked, where s is the largest index with d_s >= s;
     ``check_all_k`` forces k = 1..n-1 instead (used by the cutoff-soundness
-    tests).  The empty sequence is graphical.
+    tests).  The empty sequence is graphical; a negative entry raises
+    InvalidDegree.
+
+    After the sort each k costs O(1) (Ivanyi, Lucz, Mori & Soter, "Linear
+    Erdos-Gallai test"): with w = #{i : d_i >= k}, the right-hand side
+    k(k-1) + sum_{i>k} min(k, d_i) is k(k-1) + k*max(0, w-k) + S[max(w, k)],
+    where S[j] = d_{j+1} + ... + d_n, and w only moves down as k grows.
     """
     degs = sorted(as_residuals(d), reverse=True)
     n = len(degs)
+    if degs and degs[-1] < 0:
+        raise InvalidDegree(f"negative degree {degs[-1]}")
     parity_ok = sum(degs) % 2 == 0
     if check_all_k:
         # k = n is needed when d_1 > n-1; for k beyond the cutoff the
@@ -56,11 +67,19 @@ def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
         s = 0
         while s < n and degs[s] >= s + 1:
             s += 1
+    suffix = list(accumulate(reversed(degs), initial=0))
+    suffix.reverse()  # suffix[j] = S[j]
     first_violated = None
     prefix = 0
+    w = n
     for k in range(1, s + 1):
         prefix += degs[k - 1]
-        bound = k * (k - 1) + sum(min(k, degs[i]) for i in range(k, n))
+        while w and degs[w - 1] < k:
+            w -= 1
+        if w > k:
+            bound = k * (k - 1) + k * (w - k) + suffix[w]
+        else:
+            bound = k * (k - 1) + suffix[k]
         if prefix > bound:
             first_violated = k
             break
@@ -94,36 +113,68 @@ def havel_hakimi_construct(
 
     The focal node is chosen by ``policy``; its stubs always attach to the
     nodes of largest residual degree, smallest label first on ties.  Raises
-    NotGraphical when no valid attachment exists.
+    InvalidDegree on a negative entry and NotGraphical when no valid
+    attachment exists.
+
+    Active nodes sit in buckets by residual degree, each bucket in label
+    order, so the focal node and its targets are bucket heads.  No target
+    can already be a neighbour of the focal node: every earlier edge has an
+    earlier focal node at one end, and that node's residual is 0.
     """
     degs = as_residuals(d)
     n = len(degs)
+    if degs and min(degs) < 0:
+        raise InvalidDegree(f"negative degree {min(degs)}")
     if degs and degs[0] > n - 1:
         raise DegreeTooLarge(f"degree {degs[0]} exceeds n-1 = {n - 1}")
     residual = list(degs)
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
+    for v, r in enumerate(degs, start=1):
+        if r:
+            buckets[r].append(v)
+    top, low, nxt = len(buckets) - 1, 1, 0
     edges: list[tuple[int, int]] = []
     while True:
-        active = [v for v in range(1, n + 1) if residual[v - 1] > 0]
-        if not active:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
             break
         if policy is NodeSelectionPolicy.MAX_RESIDUAL:
-            focal = max(active, key=lambda v: (residual[v - 1], -v))
+            focal = buckets[top].pop(0)
         elif policy is NodeSelectionPolicy.MIN_RESIDUAL:
-            focal = min(active, key=lambda v: (residual[v - 1], v))
+            while not buckets[low]:
+                low += 1
+            focal = buckets[low].pop(0)
         else:
-            focal = active[0]
+            while not residual[nxt]:
+                nxt += 1
+            focal = nxt + 1
+            bucket = buckets[residual[nxt]]
+            del bucket[bisect_left(bucket, focal)]
         need = residual[focal - 1]
-        targets = sorted(
-            (v for v in active if v != focal and v not in adjacency[focal]),
-            key=lambda v: (-residual[v - 1], v),
-        )[:need]
-        if len(targets) < need:
-            raise NotGraphical(f"{list(degs)} is not graphical")
         residual[focal - 1] = 0
-        for v in targets:
-            residual[v - 1] -= 1
-            adjacency[focal].add(v)
-            adjacency[v].add(focal)
-            edges.append((focal, v) if focal < v else (v, focal))
+        # Take the targets top bucket first; move them one bucket down,
+        # lowest bucket first, so that no node moves twice.
+        takes = []
+        r = top
+        while need and r:
+            k = min(need, len(buckets[r]))
+            if k:
+                takes.append((r, k))
+                need -= k
+            r -= 1
+        if need:
+            raise NotGraphical(f"{list(degs)} is not graphical")
+        for r, k in reversed(takes):
+            bucket = buckets[r]
+            moved = bucket[:k]
+            del bucket[:k]
+            for v in moved:
+                residual[v - 1] = r - 1
+                edges.append((focal, v) if focal < v else (v, focal))
+            if r > 1:
+                below = buckets[r - 1]
+                below += moved
+                below.sort()
+            low = min(low, max(r - 1, 1))
     return LabeledGraph(n, edges)

@@ -44,3 +44,17 @@ def recursion_headroom(frames=100):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's limit on int/str conversion, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

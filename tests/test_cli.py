@@ -6,6 +6,8 @@ from io import StringIO
 
 import pytest
 
+from helpers import unlimited_int_digits
+
 from graphreal.cli import run
 from graphreal.core import graph_degree_sequence, parse_graphs
 
@@ -326,6 +328,35 @@ def test_estimate_beyond_float_range():
     assert estimate.endswith(".000000")
     assert float(estimate) == float(math.prod(range(1, 200, 2)))
     assert proc.stdout.endswith(" stderr=0.000000 exact=unknown\n")
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "graphreal", *argv], capture_output=True, text=True
+    )
+
+
+class TestIntegersBeyondTheDigitLimit:
+    """(3199)!! has 4,904 digits, past the 4,300 that ``str`` allows."""
+
+    ONES = " ".join(["1"] * 3200)
+
+    def double_factorial(self):
+        with unlimited_int_digits():
+            return str(math.prod(range(1, 3200, 2)))
+
+    def test_count(self):
+        proc = _cli("count", "-s", self.ONES)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        want = self.double_factorial()
+        assert len(want) > 4300
+        assert proc.stdout == f"count={want} memo_entries=1600\n"
+
+    def test_estimate(self):
+        proc = _cli("estimate", "-s", self.ONES, "--samples", "2", "--seed", "1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        want = self.double_factorial()
+        assert proc.stdout == f"estimate={want}.000000 stderr=0.000000 exact=unknown\n"
 
 
 def test_module_entry_point():
