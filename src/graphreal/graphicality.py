@@ -45,7 +45,7 @@ def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
     The entries are sorted nonincreasingly first, and ``first_violated_k``
     and ``s_bound`` refer to that sorted order.  By default only prefixes
     k = 1..s are checked, where s is the largest index with d_s >= s;
-    ``check_all_k`` forces k = 1..n-1 instead (used by the cutoff-soundness
+    ``check_all_k`` forces k = 1..n instead (used by the cutoff-soundness
     tests).  The empty sequence is graphical; a negative entry raises
     InvalidDegree.
 

@@ -337,7 +337,7 @@ def _cli(*argv):
 
 
 class TestIntegersBeyondTheDigitLimit:
-    """(3199)!! has 4,904 digits, past the 4,300 that ``str`` allows."""
+    """(3199)!! has 4,914 digits, past the 4,300 that ``str`` allows."""
 
     ONES = " ".join(["1"] * 3200)
 

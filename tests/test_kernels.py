@@ -12,10 +12,7 @@ import random
 import pytest
 
 from helpers import exhaustive_family
-from kernel_references import (
-    erdos_gallai_reference,
-    havel_hakimi_reference,
-)
+from kernel_references import erdos_gallai_reference, havel_hakimi_reference
 
 from graphreal.constrained import cg_test, leftmost_restricted, reduce_by_set
 from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree
