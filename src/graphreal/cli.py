@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -22,6 +21,7 @@ from .core import (
     LabeledGraph,
     NotGraphical,
     ParseError,
+    _graph_text,
     parse_sequence,
     validate_input_sequence,
 )
@@ -149,24 +149,27 @@ def _forbid_spec(spec: str) -> ForbiddenSet:
         raise argparse.ArgumentTypeError(f"bad spec {spec!r}: {exc}") from exc
 
 
-def _relabel(g: LabeledGraph, permutation, n_original: int) -> LabeledGraph:
-    """Map canonical (sorted) labels back to original input positions."""
-    return LabeledGraph(
-        n_original,
-        ((permutation[u - 1], permutation[v - 1]) for u, v in g.edges),
-    )
+def _relabelled(g: LabeledGraph, labels) -> list[tuple[int, int]]:
+    """The edges of ``g`` with each node v renamed ``labels[v]``, as sorted
+    (min, max) pairs."""
+    edges = [(a, b) if (a := labels[u]) < (b := labels[v]) else (b, a)
+             for u, v in g.edges]
+    edges.sort()
+    return edges
 
 
-def _emit_graph(g: LabeledGraph, fmt: str, out, separator: bool = True) -> None:
+def _graph_record(n: int, edges: list[tuple[int, int]], fmt: str) -> str:
+    """One graph on 1..n with sorted canonical ``edges`` as output text,
+    ending in a newline: a text block, or the JSON line that
+    ``json.dumps({"n": n, "edges": edges}, separators=(",", ":"))`` gives."""
     if fmt == "jsonlines":
-        payload = {"n": g.n, "edges": [[u, v] for u, v in g.canonical_edges()]}
-        out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        out.write(f"graph n={g.n} m={g.m}\n")
-        for u, v in g.canonical_edges():
-            out.write(f"{u} {v}\n")
-        if separator:
-            out.write("\n")
+        return '{"n":%d,"edges":[%s]}\n' % (n, ",".join([f"[{u},{v}]" for u, v in edges]))
+    return _graph_text(n, edges) + "\n"
+
+
+def _input_labels(d) -> tuple[int, ...]:
+    """Input position of each node of ``d`` by label, at index = label."""
+    return (0, *d.permutation)
 
 
 def _seed(args) -> int:
@@ -198,7 +201,7 @@ def _cmd_test(args, raw, out) -> int:
 def _cmd_construct(args, raw, out) -> int:
     d = validate_input_sequence(raw)
     g = havel_hakimi_construct(d, _POLICIES[args.policy])
-    _emit_graph(_relabel(g, d.permutation, len(raw)), "text", out)
+    out.write(_graph_record(len(raw), _relabelled(g, _input_labels(d)), "text") + "\n")
     return 0
 
 
@@ -212,8 +215,10 @@ def _cmd_enumerate(args, raw, out) -> int:
                         key=LabeledGraph.canonical_edges)
     else:
         graphs = enumerate_all(d)
+    labels, n, fmt = _input_labels(d), len(raw), args.format
+    separator = "" if fmt == "jsonlines" else "\n"
     for g in itertools.islice(graphs, args.limit):
-        _emit_graph(_relabel(g, d.permutation, len(raw)), args.format, out)
+        out.write(_graph_record(n, _relabelled(g, labels), fmt) + separator)
     return 0
 
 
@@ -236,6 +241,7 @@ def _cmd_count(args, raw, out) -> int:
 def _cmd_sample(args, raw, out) -> int:
     seed = _seed(args)
     d = validate_input_sequence(raw)
+    labels = _input_labels(d)
     for k in range(args.samples):
         if args.method == "weighted":
             sample = sample_weighted(d, seed, stream=k)
@@ -245,9 +251,8 @@ def _cmd_sample(args, raw, out) -> int:
             g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
             footer = (f"restarts={stats.restarts} "
                       f"cg_rejects={stats.rejection_causes['cg_reject']}")
-        g = _relabel(g, d.permutation, len(raw))
-        _emit_graph(g, args.format, out, separator=False)
-        out.write(footer + "\n\n")
+        record = _graph_record(len(raw), _relabelled(g, labels), args.format)
+        out.write(record + footer + "\n\n")
     return 0
 
 
@@ -319,14 +324,43 @@ def run(argv=None, out=None, err=None) -> int:
     for line in lines:
         try:
             code = command(args, parse_sequence(line), out)
+        except BrokenPipeError as exc:
+            # The reader is gone, so the rest of the batch has no audience.
+            return _closed_output(exc, out, err)
         except (GraphRealError, OSError, ValueError) as exc:
             code = _failure(exc, err)
         worst = max(worst, code)
     return worst
 
 
+def _closed_output(exc: BrokenPipeError, out, err) -> int:
+    """Report a closed ``out`` once on ``err``, which may share its pipe.
+
+    A closed standard stream is pointed at the null device, so that what
+    is still buffered for it cannot fail again when the interpreter exits.
+    """
+    _discard(out)
+    try:
+        return _failure(exc, err)
+    except BrokenPipeError:
+        _discard(err)
+        return 2
+
+
+def _discard(stream) -> None:
+    if stream is sys.stdout or stream is sys.stderr:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # closed after the last write was buffered
+        code = _closed_output(exc, sys.stdout, sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -209,6 +209,16 @@ class LabeledGraph:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", _canonical_edges(int(n), edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
+        """A graph from ``edges`` that are already canonical: pairs u < v in
+        1..n, none repeated.  Nothing is checked; for the library's own
+        constructions, never for outside input."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", frozenset(edges))
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -262,9 +272,12 @@ def parse_sequences(text: str) -> list[list[int]]:
 
 
 def format_graph(g: LabeledGraph) -> str:
-    lines = [f"graph n={g.n} m={g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.canonical_edges())
-    return "\n".join(lines)
+    return _graph_text(g.n, g.canonical_edges())
+
+
+def _graph_text(n: int, edges: Sequence[tuple[int, int]]) -> str:
+    """The text block of a graph on 1..n whose ``edges`` are sorted, u < v."""
+    return "\n".join([f"graph n={n} m={len(edges)}", *[f"{u} {v}" for u, v in edges]])
 
 
 def parse_graphs(text: str) -> list[LabeledGraph]:

@@ -217,7 +217,7 @@ def enumerate_all(d) -> Iterator[LabeledGraph]:
     if not erdos_gallai_test(degs).graphical:
         return
     for edges, _ in _walk(degs):
-        yield LabeledGraph(len(degs), edges)
+        yield LabeledGraph._trusted(len(degs), edges)
 
 
 def enumerate_all_parallel(

@@ -177,4 +177,4 @@ def havel_hakimi_construct(
                 below += moved
                 below.sort()
             low = min(low, max(r - 1, 1))
-    return LabeledGraph(n, edges)
+    return LabeledGraph._trusted(n, edges)

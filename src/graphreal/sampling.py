@@ -106,7 +106,7 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     _check_graphical(degs)
     edges, branch_sizes = _draw(degs, SplitMix64.stream(seed, stream))
     return RealizationSample(
-        LabeledGraph(len(degs), edges),
+        LabeledGraph._trusted(len(degs), edges),
         Fraction(1, math.prod(branch_sizes)),
         branch_sizes,
     )
@@ -166,7 +166,7 @@ def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
     if not erdos_gallai_test(degs).graphical:
         return
     for edges, branch_sizes in _walk(degs):
-        yield LabeledGraph(len(degs), edges), Fraction(1, math.prod(branch_sizes))
+        yield LabeledGraph._trusted(len(degs), edges), Fraction(1, math.prod(branch_sizes))
 
 
 def molloy_reed_sample(
@@ -228,7 +228,7 @@ def molloy_reed_sample(
                 fail = "cg_reject"
                 break
         if fail is None:
-            return LabeledGraph(n, edges), stats
+            return LabeledGraph._trusted(n, edges), stats
         stats.restarts += 1
         stats.rejection_causes[fail] += 1
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from io import StringIO
@@ -9,7 +10,16 @@ import pytest
 from helpers import unlimited_int_digits
 
 from graphreal.cli import run
-from graphreal.core import graph_degree_sequence, parse_graphs
+from graphreal.core import (
+    LabeledGraph,
+    format_graph,
+    graph_degree_sequence,
+    parse_graphs,
+    validate_input_sequence,
+)
+from graphreal.enumeration import enumerate_all
+from graphreal.graphicality import NodeSelectionPolicy, havel_hakimi_construct
+from graphreal.sampling import molloy_reed_sample, sample_weighted
 
 
 def invoke(argv):
@@ -328,6 +338,119 @@ def test_estimate_beyond_float_range():
     assert estimate.endswith(".000000")
     assert float(estimate) == float(math.prod(range(1, 200, 2)))
     assert proc.stdout.endswith(" stderr=0.000000 exact=unknown\n")
+
+
+class TestEmittedBytes:
+    """Stdout against text made here from the public API: the library's
+    graph, relabelled to input positions, then ``format_graph`` or
+    ``json.dumps``."""
+
+    # Permuted inputs, one with nodes of degree 0.
+    INPUTS = ["1 3 2 2 3 1 2", "2 0 3 1 2 0 2 2"]
+
+    @staticmethod
+    def in_input_labels(g, raw):
+        perm = validate_input_sequence(raw).permutation
+        return LabeledGraph(len(raw), [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+    @staticmethod
+    def record(g, fmt):
+        if fmt == "jsonlines":
+            payload = {"n": g.n, "edges": [list(e) for e in g.canonical_edges()]}
+            return json.dumps(payload, separators=(",", ":")) + "\n"
+        return format_graph(g) + "\n"
+
+    @pytest.mark.parametrize("text", INPUTS)
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_enumerate(self, text, fmt, limit):
+        raw = [int(x) for x in text.split()]
+        graphs = list(enumerate_all(validate_input_sequence(raw)))[:limit]
+        separator = "\n" if fmt == "text" else ""
+        want = "".join(
+            self.record(self.in_input_labels(g, raw), fmt) + separator for g in graphs
+        )
+        argv = ["enumerate", "-s", text, "--format", fmt]
+        argv += ["--limit", str(limit)] if limit is not None else []
+        assert invoke(argv) == (0, want, "")
+
+    @pytest.mark.parametrize("text", INPUTS)
+    @pytest.mark.parametrize("policy", NodeSelectionPolicy)
+    def test_construct(self, text, policy):
+        raw = [int(x) for x in text.split()]
+        g = havel_hakimi_construct(validate_input_sequence(raw), policy)
+        want = format_graph(self.in_input_labels(g, raw)) + "\n\n"
+        assert invoke(["construct", "-s", text, "--policy", policy.value]) == (0, want, "")
+
+    @pytest.mark.parametrize("text", INPUTS)
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    @pytest.mark.parametrize("method", ["weighted", "mr"])
+    def test_sample(self, text, fmt, method):
+        raw = [int(x) for x in text.split()]
+        d = validate_input_sequence(raw)
+        want = ""
+        for k in range(3):
+            if method == "weighted":
+                s = sample_weighted(d, 11, stream=k)
+                g = s.graph
+                footer = f"p={s.probability.numerator}/{s.probability.denominator}"
+            else:
+                g, stats = molloy_reed_sample(d, 11, True, stream=k)
+                footer = (f"restarts={stats.restarts} "
+                          f"cg_rejects={stats.rejection_causes['cg_reject']}")
+            want += self.record(self.in_input_labels(g, raw), fmt) + footer + "\n\n"
+        argv = ["sample", "-s", text, "--method", method, "--format", fmt,
+                "--samples", "3", "--seed", "11", "--early-reject"]
+        assert invoke(argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+class TestClosedPipe:
+    """A reader that goes away ends the batch: one error line, exit 2."""
+
+    BROKEN = b"error: [Errno 32] Broken pipe\n"
+
+    # The first line alone has 9,308 graphs, far more than a pipe holds.
+    BATCH = b"4 2 4 1 3 4 2 3 1\n3 3 3 3\n2 2 2\n"
+
+    @staticmethod
+    def spawn(unbuffered, *argv, stderr=subprocess.PIPE):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "graphreal", *argv], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
+        )
+
+    def test_reader_leaves_after_one_line(self, unbuffered):
+        with self.spawn(unbuffered, "enumerate") as proc:
+            proc.stdin.write(self.BATCH)
+            proc.stdin.close()
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert first == b"graph n=9 m=12\n"
+            assert (proc.wait(timeout=60), err) == (2, self.BROKEN)
+
+    def test_stderr_on_the_same_pipe(self, unbuffered):
+        # The error line cannot be written either; the exit code still says so.
+        with self.spawn(unbuffered, "enumerate", stderr=subprocess.STDOUT) as proc:
+            proc.stdin.write(self.BATCH)
+            proc.stdin.close()
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert first == b"graph n=9 m=12\n"
+            assert proc.wait(timeout=60) == 2
+
+    def test_reader_gone_before_the_first_write(self, unbuffered):
+        with self.spawn(unbuffered, "count") as proc:
+            proc.stdout.close()
+            proc.stdin.write(b"2 2 2\n3 3 3 3\n")
+            proc.stdin.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (2, self.BROKEN)
 
 
 def _cli(*argv):

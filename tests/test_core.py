@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import graphical_family
+
 from graphreal.core import (
     AdjacencySet,
     DegreeSequence,
@@ -19,6 +21,24 @@ from graphreal.core import (
     parse_sequences,
     validate_input_sequence,
 )
+from graphreal.enumeration import enumerate_all
+from graphreal.graphicality import NodeSelectionPolicy, havel_hakimi_construct
+from graphreal.sampling import (
+    enumerate_with_probabilities,
+    molloy_reed_sample,
+    sample_weighted,
+)
+
+
+def library_graphs(seq):
+    """Every graph the library's own producers build for ``seq``."""
+    yield from enumerate_all(seq)
+    yield from (g for g, _ in enumerate_with_probabilities(seq))
+    for seed in range(3):
+        yield sample_weighted(seq, seed).graph
+    yield molloy_reed_sample(seq, 0)[0]  # dense sequences restart often
+    for policy in NodeSelectionPolicy:
+        yield havel_hakimi_construct(seq, policy)
 
 
 class TestValidateInputSequence:
@@ -117,6 +137,18 @@ class TestLabeledGraph:
     def test_duplicate_edges_collapse(self):
         g = LabeledGraph(3, [(1, 2), (2, 1)])
         assert g.m == 1
+
+    def test_library_graphs_equal_validated_ones(self):
+        # The producers skip the checks of LabeledGraph(n, edges); their
+        # edges must pass them unchanged.
+        for seq in graphical_family(max_n=6):
+            for order in (seq, seq[::-1]):
+                for g in library_graphs(order):
+                    checked = LabeledGraph(g.n, g.edges)
+                    assert g == checked and hash(g) == hash(checked), order
+                    assert type(g.n) is int and g.n == len(seq)
+                    assert all(1 <= u < v <= g.n for u, v in g.edges), order
+                    assert g.degrees() == order
 
     def test_neighbors(self):
         g = LabeledGraph(4, [(1, 2), (1, 3)])

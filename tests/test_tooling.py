@@ -1,11 +1,17 @@
 """The benchmark's own self-test: every output checker still rejects
-corrupted outputs and accepts good ones."""
+corrupted outputs and accepts good ones, and one round of a workload
+passes those checkers."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SELFTEST = Path(__file__).resolve().parent.parent / "perfbench" / "selftest.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SELFTEST = PERFBENCH / "selftest.py"
+RUN = PERFBENCH / "run.py"
 
 
 def test_benchmark_checkers_reject_corrupt_output():
@@ -14,3 +20,16 @@ def test_benchmark_checkers_reject_corrupt_output():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 failure(s)"
+
+
+@pytest.mark.parametrize("workload", ["enumerate-stream", "decide-construct"])
+def test_one_benchmark_round_is_correct(workload):
+    # One round, each output vetted by the benchmark's own checkers.
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
+         "--seconds", "0"],
+        capture_output=True, text=True, timeout=300, cwd=RUN.parent.parent,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
