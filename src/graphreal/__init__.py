@@ -8,6 +8,7 @@ from .core import (
     ForbiddenSet,
     GraphRealError,
     Incomparable,
+    InvalidArgument,
     InvalidDegree,
     InvalidSet,
     LabeledGraph,

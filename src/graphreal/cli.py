@@ -35,13 +35,6 @@ from .graphicality import (
 from .oracle import OracleQuery, oracle_enumerate, oracle_exists
 from .sampling import estimate_count, molloy_reed_sample, sample_weighted
 
-_POLICIES = {
-    "max": NodeSelectionPolicy.MAX_RESIDUAL,
-    "min": NodeSelectionPolicy.MIN_RESIDUAL,
-    "fixed": NodeSelectionPolicy.FIXED_LABEL_ORDER,
-}
-
-
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
 
@@ -74,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--sequence",
             help="inline degree sequence, e.g. '3 2 2 1' (overrides input)",
         )
-        p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     p_test = sub.add_parser("test", help="decide graphicality")
     add_common(p_test)
@@ -87,7 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build one Havel-Hakimi realization")
     add_common(p_con)
-    p_con.add_argument("--policy", choices=sorted(_POLICIES), default="max")
+    p_con.add_argument(
+        "--policy",
+        choices=sorted(policy.value for policy in NodeSelectionPolicy),
+        default="max",
+    )
 
     p_enum = sub.add_parser("enumerate", help="stream every labeled realization")
     add_common(p_enum)
@@ -104,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="exact number of labeled realizations")
     add_common(p_count)
+    for p in (p_test, p_enum, p_count):  # the subcommands that can ask the oracle
+        p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     p_sample = sub.add_parser("sample", help="draw random realizations")
     add_common(p_sample)
@@ -200,7 +198,7 @@ def _cmd_test(args, raw, out) -> int:
 
 def _cmd_construct(args, raw, out) -> int:
     d = validate_input_sequence(raw)
-    g = havel_hakimi_construct(d, _POLICIES[args.policy])
+    g = havel_hakimi_construct(d, args.policy)
     out.write(_graph_record(len(raw), _relabelled(g, _input_labels(d)), "text") + "\n")
     return 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import (
     AdjacencySet,
@@ -38,26 +37,14 @@ class ReducedSequence:
         return tuple(sorted(positive, reverse=True))
 
 
-def _forbidden_members(x, focal: int) -> frozenset[int]:
-    if isinstance(x, ForbiddenSet):
-        if x.focal != focal:
-            raise InvalidSet(f"forbidden set focal {x.focal} != {focal}")
-        return x.members
-    return ForbiddenSet(focal, frozenset(x)).members
-
-
 def reduce_by_set(d, a: AdjacencySet) -> ReducedSequence:
     """Remove the focal node, decrementing each member's degree by one."""
-    return _reduce(as_residuals(d), a)
-
-
-def _reduce(degs: tuple[int, ...], a: AdjacencySet) -> ReducedSequence:
-    n = len(degs)
+    residuals = list(as_residuals(d))
+    n = len(residuals)
     if not (1 <= a.focal <= n):
         raise InvalidSet(f"focal {a.focal} outside 1..{n}")
     if any(not (1 <= m <= n) for m in a.members):
         raise InvalidSet(f"adjacency set {a.members} outside 1..{n}")
-    residuals = list(degs)
     residuals[a.focal - 1] = 0
     for m in a.members:
         residuals[m - 1] -= 1
@@ -78,6 +65,25 @@ def colex_less(a: AdjacencySet, b: AdjacencySet) -> bool:
     return tuple(reversed(a.members)) < tuple(reversed(b.members))
 
 
+def _star(degs: tuple[int, ...], i: int, x) -> tuple[int, frozenset[int], int]:
+    """``(i, X, d_i)`` for focal node i and forbidden set x on ``degs``,
+    checked: i and every member of X in 1..n, d_i >= 0, |X| <= n - 1 - d_i."""
+    n = len(degs)
+    star = x if isinstance(x, ForbiddenSet) else ForbiddenSet(i, frozenset(x))
+    if star.focal != i:
+        raise InvalidSet(f"forbidden set focal {star.focal} != {i}")
+    if not (1 <= i <= n):
+        raise InvalidSet(f"focal {i} outside 1..{n}")
+    if max(star.members, default=0) > n:
+        raise InvalidSet(f"forbidden set {sorted(star.members)} outside 1..{n}")
+    di = degs[star.focal - 1]
+    if di < 0:
+        raise InvalidDegree(f"focal {i} has negative degree {di}")
+    if len(star) > n - 1 - di:
+        raise TooManyForbidden(f"|X|={len(star)} exceeds n-1-d_i={n - 1 - di}")
+    return star.focal, star.members, di
+
+
 def leftmost_restricted(d, i: int, x) -> AdjacencySet:
     """The d_i allowed nodes of largest residual degree, smallest label first.
 
@@ -87,24 +93,9 @@ def leftmost_restricted(d, i: int, x) -> AdjacencySet:
     tied allowed nodes produce identical reduced multisets).  A negative
     d_i raises InvalidDegree.
     """
-    return _leftmost(as_residuals(d), i, x)
-
-
-def _leftmost(degs: tuple[int, ...], i: int, x) -> AdjacencySet:
-    n = len(degs)
-    if not (1 <= i <= n):
-        raise InvalidSet(f"focal {i} outside 1..{n}")
-    forbidden = _forbidden_members(x, i)
-    if any(not (1 <= m <= n) for m in forbidden):
-        raise InvalidSet(f"forbidden set {sorted(forbidden)} outside 1..{n}")
-    di = degs[i - 1]
-    if di < 0:
-        raise InvalidDegree(f"focal {i} has negative degree {di}")
-    if len(forbidden) > n - 1 - di:
-        raise TooManyForbidden(
-            f"|X|={len(forbidden)} exceeds n-1-d_i={n - 1 - di}"
-        )
-    allowed = [j for j in range(1, n + 1) if j != i and j not in forbidden]
+    degs = as_residuals(d)
+    i, forbidden, di = _star(degs, i, x)
+    allowed = [j for j in range(1, len(degs) + 1) if j != i and j not in forbidden]
     # Largest degree first; the sort is stable, also reversed, so ties stay
     # in label order.
     allowed.sort(key=(0, *degs).__getitem__, reverse=True)
@@ -115,11 +106,16 @@ def cg_test(d, i: int, x=frozenset()) -> bool:
     """Can d be realized avoiding every connection from i into x?
 
     True iff the sequence reduced by the leftmost restricted set of i is
-    graphical: no negative residual and the Erdos-Gallai test passes on
-    the sorted positive part.
+    graphical: no residual is negative and the Erdos-Gallai test passes.
+    Only the reduced multiset matters, so it is built from the sorted
+    allowed degrees, with no set built.
     """
     degs = as_residuals(d)
-    reduced = _reduce(degs, _leftmost(degs, i, x))
-    if reduced.has_negative:
-        return False
-    return erdos_gallai_test(reduced.sorted_positive()).graphical
+    i, forbidden, di = _star(degs, i, x)
+    allowed = list(degs)
+    for j in sorted(forbidden | {i}, reverse=True):
+        del allowed[j - 1]
+    allowed.sort(reverse=True)
+    reduced = [v - 1 for v in allowed[:di]] + allowed[di:]
+    reduced += [degs[j - 1] for j in forbidden]
+    return min(reduced, default=0) >= 0 and erdos_gallai_test(reduced).graphical

@@ -8,6 +8,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -44,6 +45,11 @@ class TooManyForbidden(GraphRealError):
     """The forbidden set leaves fewer allowed neighbours than stubs to place."""
 
 
+class InvalidArgument(GraphRealError, ValueError):
+    """An argument other than a degree or a label is of the wrong type or
+    out of range: a policy name, a sample count, a seed or a stream."""
+
+
 class OracleTooLarge(GraphRealError):
     """Brute-force oracle invoked beyond its size guardrail."""
 
@@ -70,7 +76,7 @@ class DegreeSequence:
     permutation: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        degs = tuple(int(x) for x in self.degrees)
+        degs = as_residuals(self.degrees)
         object.__setattr__(self, "degrees", degs)
         if degs and degs[-1] < 0:
             raise InvalidDegree("degrees must be nonnegative")
@@ -98,11 +104,22 @@ class DegreeSequence:
         return self.degrees[idx]
 
 
+def _integers(values, error: type[GraphRealError]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``error`` if one is not an integer.
+    Integral types pass, while floats and strings are refused rather than
+    truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(str(exc)) from None
+
+
 def as_residuals(d) -> tuple[int, ...]:
-    """Coerce a DegreeSequence or plain iterable into a per-label tuple."""
+    """Coerce a DegreeSequence or plain iterable of integers into a per-label
+    tuple; InvalidDegree for an entry that is not an integer."""
     if isinstance(d, DegreeSequence):
         return d.degrees
-    return tuple(map(int, d))
+    return _integers(d, InvalidDegree)
 
 
 def validate_input_sequence(raw: Sequence[int]) -> DegreeSequence:
@@ -116,7 +133,7 @@ def validate_input_sequence(raw: Sequence[int]) -> DegreeSequence:
     """
     if len(raw) == 0:
         raise InvalidDegree("degree sequence must be nonempty")
-    entries = [int(x) for x in raw]
+    entries = as_residuals(raw)
     if any(x < 0 for x in entries):
         raise InvalidDegree(f"negative degree in {entries}")
     order = sorted(range(len(entries)), key=lambda i: -entries[i])
@@ -141,16 +158,18 @@ class AdjacencySet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(int(x) for x in self.members)
+        focal, *members = _integers((self.focal, *self.members), InvalidSet)
+        members = tuple(members)
+        object.__setattr__(self, "focal", focal)
         object.__setattr__(self, "members", members)
-        if self.focal < 1:
-            raise InvalidSet(f"focal label {self.focal} out of range")
+        if focal < 1:
+            raise InvalidSet(f"focal label {focal} out of range")
         for a, b in zip(members, members[1:]):
             if a >= b:
                 raise InvalidSet("members must be strictly increasing")
         if any(m < 1 for m in members):
             raise InvalidSet("member labels must be >= 1")
-        if self.focal in members:
+        if focal in members:
             raise InvalidSet("focal node cannot be its own neighbour")
 
     def __len__(self) -> int:
@@ -168,9 +187,11 @@ class ForbiddenSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(int(x) for x in self.members)
+        focal, *members = _integers((self.focal, *self.members), InvalidSet)
+        members = frozenset(members)
+        object.__setattr__(self, "focal", focal)
         object.__setattr__(self, "members", members)
-        if self.focal in members:
+        if focal in members:
             raise InvalidSet("focal node cannot forbid itself")
         if any(m < 1 for m in members):
             raise InvalidSet("member labels must be >= 1")
@@ -185,7 +206,7 @@ class ForbiddenSet:
 def _canonical_edges(n: int, edges: Iterable) -> frozenset[tuple[int, int]]:
     out = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = _integers((e[0], e[1]), InvalidSet)
         if u == v:
             raise InvalidSet(f"self-loop at node {u}")
         if not (1 <= u <= n and 1 <= v <= n):

@@ -10,6 +10,7 @@ from itertools import accumulate
 from .core import (
     DegreeSequence,
     DegreeTooLarge,
+    InvalidArgument,
     InvalidDegree,
     LabeledGraph,
     NotGraphical,
@@ -111,16 +112,21 @@ def havel_hakimi_construct(
 ) -> LabeledGraph:
     """Build one realization by repeatedly emptying a focal node's stubs.
 
-    The focal node is chosen by ``policy``; its stubs always attach to the
-    nodes of largest residual degree, smallest label first on ties.  Raises
-    InvalidDegree on a negative entry and NotGraphical when no valid
-    attachment exists.
+    The focal node is chosen by ``policy``, a NodeSelectionPolicy or its
+    value ``"max"``, ``"min"`` or ``"fixed"``; its stubs always attach to
+    the nodes of largest residual degree, smallest label first on ties.
+    Raises InvalidArgument for any other policy, InvalidDegree on a
+    negative entry and NotGraphical when no valid attachment exists.
 
     Active nodes sit in buckets by residual degree, each bucket in label
     order, so the focal node and its targets are bucket heads.  No target
     can already be a neighbour of the focal node: every earlier edge has an
     earlier focal node at one end, and that node's residual is 0.
     """
+    try:
+        policy = NodeSelectionPolicy(policy)
+    except ValueError:
+        raise InvalidArgument(f"unknown policy {policy!r}") from None
     degs = as_residuals(d)
     n = len(degs)
     if degs and min(degs) < 0:

@@ -14,9 +14,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import (
+    InvalidArgument,
     LabeledGraph,
     NotGraphical,
     RestartBudgetExceeded,
+    _integers,
     as_residuals,
 )
 from .constrained import cg_test
@@ -42,6 +44,7 @@ class SplitMix64:
 
     @classmethod
     def stream(cls, seed: int, index: int) -> "SplitMix64":
+        seed, index = _integers((seed, index), InvalidArgument)
         return cls(_mix64(seed & _MASK) ^ _mix64((index + 1) & _MASK))
 
     def next_u64(self) -> int:
@@ -121,8 +124,9 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     exactly and only the final square root is a float, so weights far
     beyond the float range cannot overflow it.
     """
+    (samples,) = _integers((samples,), InvalidArgument)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidArgument(f"samples must be >= 1, got {samples}")
     degs = as_residuals(d)
     _check_graphical(degs)
     total = 0
@@ -194,8 +198,7 @@ def molloy_reed_sample(
     while True:
         residual = list(degs)
         remaining = sum(residual)
-        edges: set[tuple[int, int]] = set()
-        adjacency: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        adjacency: list[set[int]] = [set() for _ in range(n + 1)]
         fail: str | None = None
         while remaining > 0:
             if drawn >= budget:
@@ -210,24 +213,26 @@ def molloy_reed_sample(
             if i == j:
                 fail = "self_loop"
                 break
-            pair = (i, j) if i < j else (j, i)
-            if pair in edges:
+            if j in adjacency[i]:
                 fail = "multi_edge"
                 break
             residual[i - 1] -= 1
             residual[j - 1] -= 1
             remaining -= 2
-            edges.add(pair)
             adjacency[i].add(j)
             adjacency[j].add(i)
             stats.stub_connections_made += 1
+            # No TooManyForbidden here: the input passed EG, so d_i <= n-1,
+            # and an attempt stops at its first multi-edge, so a node's
+            # residual never exceeds its non-neighbours.
             if early_reject and not (
-                _cg_ok(residual, i, adjacency[i], n)
-                and _cg_ok(residual, j, adjacency[j], n)
+                cg_test(residual, i, adjacency[i])
+                and cg_test(residual, j, adjacency[j])
             ):
                 fail = "cg_reject"
                 break
         if fail is None:
+            edges = [(u, v) for u in range(1, n + 1) for v in adjacency[u] if u < v]
             return LabeledGraph._trusted(n, edges), stats
         stats.restarts += 1
         stats.rejection_causes[fail] += 1
@@ -240,10 +245,3 @@ def _draw_stub(residual: list[int], r: int) -> int:
         r -= count
     raise AssertionError("stub index out of range")
 
-
-def _cg_ok(residual, i, neighbours, n) -> bool:
-    # A node needing more partners than it has allowed non-neighbours can
-    # never finish simply; treat that as a CG rejection too.
-    if residual[i - 1] > n - 1 - len(neighbours):
-        return False
-    return cg_test(residual, i, frozenset(neighbours))

@@ -228,6 +228,13 @@ class TestBadCounts:
         assert captured.out == ""
         assert "error: argument --" in captured.err
 
+    @pytest.mark.parametrize("command", ["construct", "sample", "estimate"])
+    def test_oracle_flag_only_where_read(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([command, "-s", "2 2 2 2", "--oracle"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
     def test_bad_forbid_spec_rejected_at_parse_time(self, capsys):
         for spec in ["1-2", "1:x", "2:2"]:
             with pytest.raises(SystemExit) as info:

@@ -63,6 +63,11 @@ class TestValidateInputSequence:
         with pytest.raises(InvalidDegree):
             validate_input_sequence([])
 
+    @pytest.mark.parametrize("raw", [[2.0, 1, 1], [1.9, 1.9], ["2", 1, 1]])
+    def test_non_integer_degree(self, raw):
+        with pytest.raises(InvalidDegree):
+            validate_input_sequence(raw)
+
     def test_idempotent_on_valid_input(self):
         d = validate_input_sequence([3, 2, 2, 2, 1])
         again = validate_input_sequence(list(d.degrees))
@@ -77,6 +82,10 @@ class TestDegreeSequence:
     def test_rejects_negative(self):
         with pytest.raises(InvalidDegree):
             DegreeSequence((2, -1))
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(InvalidDegree):
+            DegreeSequence((2.5, 1))
 
     def test_residual_view_allows_zeros(self):
         d = DegreeSequence((2, 1, 0, 0))
@@ -109,6 +118,12 @@ class TestAdjacencySet:
                 AdjacencySet(focal, members)
 
 
+    @pytest.mark.parametrize("focal, members", [(1.0, (2,)), (1, (2.5,)), (1, ("2",))])
+    def test_rejects_non_integer_labels(self, focal, members):
+        with pytest.raises(InvalidSet):
+            AdjacencySet(focal, members)
+
+
 class TestForbiddenSet:
     def test_rejects_focal_member(self):
         with pytest.raises(InvalidSet):
@@ -117,6 +132,13 @@ class TestForbiddenSet:
     def test_holds_members(self):
         x = ForbiddenSet(1, frozenset({3, 2}))
         assert x.members == frozenset({2, 3})
+
+
+    @pytest.mark.parametrize("focal, members", [(1, {2.7}), (1.5, {2}), (1, {"a"})])
+    def test_rejects_non_integer_labels(self, focal, members):
+        # ForbiddenSet(1, {2.7}) used to forbid node 2.
+        with pytest.raises(InvalidSet):
+            ForbiddenSet(focal, frozenset(members))
 
 
 class TestLabeledGraph:
@@ -129,6 +151,10 @@ class TestLabeledGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidSet):
             LabeledGraph(3, [(2, 2)])
+
+    def test_rejects_non_integer_labels(self):
+        with pytest.raises(InvalidSet):
+            LabeledGraph(3, [(1.5, 2)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidSet):

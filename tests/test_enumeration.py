@@ -194,6 +194,11 @@ class TestCountRealizations:
     def test_examples(self, seq, expected):
         assert count_realizations(seq).count == expected
 
+    def test_non_integer_degrees_raise(self):
+        # [1.9, 1.9] used to be truncated to [1, 1] and counted once.
+        with pytest.raises(InvalidDegree):
+            count_realizations([1.9, 1.9])
+
     def test_chain_deeper_than_recursion_limit(self):
         # 200 multisets in one chain, with 100 frames to spare.
         with recursion_headroom(100):

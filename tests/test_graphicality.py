@@ -4,7 +4,13 @@ import pytest
 
 from helpers import exhaustive_family, graphical_family
 
-from graphreal.core import DegreeTooLarge, NotGraphical, graph_degree_sequence
+from graphreal.core import (
+    DegreeTooLarge,
+    InvalidArgument,
+    InvalidDegree,
+    NotGraphical,
+    graph_degree_sequence,
+)
 from graphreal.graphicality import (
     NodeSelectionPolicy,
     erdos_gallai_test,
@@ -58,6 +64,18 @@ class TestErdosGallai:
             want = erdos_gallai_test(seq).graphical
             for perm in set(itertools.permutations(seq)):
                 assert erdos_gallai_test(perm).graphical == want, perm
+
+
+class TestIntegerDegrees:
+    @pytest.mark.parametrize("seq", [[1.5, 1.5], [1.0, 1.0], ["1", "1"], [1, None]])
+    def test_non_integers_raise(self, seq):
+        # 1.5 used to be truncated to 1, and so reported graphical.
+        for fn in (erdos_gallai_test, havel_hakimi_construct):
+            with pytest.raises(InvalidDegree):
+                fn(seq)
+
+    def test_integral_types_pass(self):
+        assert erdos_gallai_test([True, True]).graphical
 
 
 class TestHavelHakimiReduce:
@@ -114,6 +132,19 @@ class TestHavelHakimiConstruct:
             g = havel_hakimi_construct(seq, policy)
             _, d = graph_degree_sequence(g)
             assert d.degrees == seq, (seq, policy)
+
+    @pytest.mark.parametrize("policy", list(NodeSelectionPolicy))
+    def test_policy_by_value(self, policy):
+        # "min" used to fall back to FIXED, whose graph differs here.
+        seq = (3, 3, 2, 2, 1, 1)
+        assert havel_hakimi_construct(seq, policy.value) == havel_hakimi_construct(
+            seq, policy
+        )
+
+    @pytest.mark.parametrize("policy", ["bogus", None, "MAX_RESIDUAL", 1])
+    def test_unknown_policy_raises(self, policy):
+        with pytest.raises(InvalidArgument):
+            havel_hakimi_construct((1, 1), policy)
 
     def test_agrees_with_oracle_small(self):
         for seq in exhaustive_family(max_n=5, max_deg=4):

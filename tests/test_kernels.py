@@ -11,11 +11,12 @@ import random
 
 import pytest
 
-from helpers import exhaustive_family
+from helpers import HH_GAP_SEQUENCE, exhaustive_family, graphical_family
 from kernel_references import erdos_gallai_reference, havel_hakimi_reference
 
+from graphreal import sampling
 from graphreal.constrained import cg_test, leftmost_restricted, reduce_by_set
-from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree
+from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
 from graphreal.graphicality import (
     NodeSelectionPolicy,
     erdos_gallai_test,
@@ -176,3 +177,37 @@ class TestCgKernel:
         # A focal node of degree -2 has no leftmost restricted set.
         with pytest.raises(InvalidDegree):
             cg_test((-2, 1, 1, 1, 1), 1)
+
+    @pytest.mark.parametrize("fn", [cg_test, leftmost_restricted])
+    @pytest.mark.parametrize(
+        "d, i, x",
+        [
+            ((1, 1), 3, frozenset()),  # focal outside 1..n
+            ((1, 1), 0, frozenset()),
+            ((1, 1, 1, 1), 1, {5}),  # forbidden label outside 1..n
+            ((1, 1, 1, 1), 1, ForbiddenSet(2, frozenset({3}))),  # another focal's star
+            ((1, 1), 1, {"a"}),  # a label that is not an integer
+        ],
+    )
+    def test_invalid_star_raises(self, fn, d, i, x):
+        with pytest.raises(InvalidSet):
+            fn(d, i, x)
+
+    def test_molloy_reed_verdicts_match_composition(self, monkeypatch):
+        # Every state early rejection tests, rejected ones included, gets
+        # the verdict of the explicit composition.
+        verdicts = {}
+
+        def recording(residual, i, x):
+            verdict = cg_test(residual, i, x)
+            verdicts[tuple(residual), i, frozenset(x)] = verdict
+            return verdict
+
+        monkeypatch.setattr(sampling, "cg_test", recording)
+        family = graphical_family(6)
+        views = [*family, *(s[::-1] for s in family if s != s[::-1]), HH_GAP_SEQUENCE]
+        for k, seq in enumerate(views):
+            sampling.molloy_reed_sample(seq, k % 3, early_reject=True, stream=k % 4)
+        assert False in verdicts.values() and True in verdicts.values()
+        for (residual, i, x), verdict in verdicts.items():
+            assert cg_composition(residual, i, x) == verdict, (residual, i, x)

@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from graphreal.core import (
+    InvalidArgument,
     LabeledGraph,
     NotGraphical,
     RestartBudgetExceeded,
@@ -194,6 +195,23 @@ class TestEstimateCount:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             estimate_count((1, 1), samples=0, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_bad_sample_count_is_invalid_argument(self, samples):
+        with pytest.raises(InvalidArgument):
+            estimate_count((1, 1), samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), ("1", 0), (None, 0), (1, 0.5)])
+def test_non_integer_seed_or_stream(seed, stream):
+    # sample_weighted((1, 1), seed=1.5) used to raise a raw TypeError.
+    with pytest.raises(InvalidArgument):
+        sample_weighted((1, 1), seed, stream=stream)
+    with pytest.raises(InvalidArgument):
+        molloy_reed_sample((1, 1), seed, stream=stream)
+    if stream == 0:
+        with pytest.raises(InvalidArgument):
+            estimate_count((1, 1), 2, seed)
 
 
 class TestMolloyReed:

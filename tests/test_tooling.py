@@ -22,7 +22,9 @@ def test_benchmark_checkers_reject_corrupt_output():
     assert proc.stdout.splitlines()[-1] == "0 failure(s)"
 
 
-@pytest.mark.parametrize("workload", ["enumerate-stream", "decide-construct"])
+@pytest.mark.parametrize(
+    "workload", ["enumerate-stream", "decide-construct", "sample-mr", "decide-test"]
+)
 def test_one_benchmark_round_is_correct(workload):
     # One round, each output vetted by the benchmark's own checkers.
     proc = subprocess.run(
