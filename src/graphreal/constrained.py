@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .core import (
     AdjacencySet,
@@ -13,7 +15,6 @@ from .core import (
     TooManyForbidden,
     as_residuals,
 )
-from .graphicality import erdos_gallai_test
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,14 @@ def _star(degs: tuple[int, ...], i: int, x) -> tuple[int, frozenset[int], int]:
     """``(i, X, d_i)`` for focal node i and forbidden set x on ``degs``,
     checked: i and every member of X in 1..n, d_i >= 0, |X| <= n - 1 - d_i."""
     n = len(degs)
-    star = x if isinstance(x, ForbiddenSet) else ForbiddenSet(i, frozenset(x))
+    if isinstance(x, ForbiddenSet):
+        star = x
+    else:
+        try:
+            members = frozenset(x)
+        except TypeError:
+            raise InvalidSet(f"forbidden set {x!r} is not a set of labels") from None
+        star = ForbiddenSet(i, members)
     if star.focal != i:
         raise InvalidSet(f"forbidden set focal {star.focal} != {i}")
     if not (1 <= i <= n):
@@ -107,15 +115,82 @@ def cg_test(d, i: int, x=frozenset()) -> bool:
 
     True iff the sequence reduced by the leftmost restricted set of i is
     graphical: no residual is negative and the Erdos-Gallai test passes.
-    Only the reduced multiset matters, so it is built from the sorted
-    allowed degrees, with no set built.
+    Only the reduced multiset matters, so the verdict comes from the counts
+    of nodes per degree, with no set built.
     """
     degs = as_residuals(d)
-    i, forbidden, di = _star(degs, i, x)
-    allowed = list(degs)
-    for j in sorted(forbidden | {i}, reverse=True):
-        del allowed[j - 1]
-    allowed.sort(reverse=True)
-    reduced = [v - 1 for v in allowed[:di]] + allowed[di:]
-    reduced += [degs[j - 1] for j in forbidden]
-    return min(reduced, default=0) >= 0 and erdos_gallai_test(reduced).graphical
+    i, forbidden, _ = _star(degs, i, x)
+    if min(degs) < 0:  # another node's; _star refuses a negative focal
+        return False
+    return _cg_counts(_residual_counts(degs), degs, i, forbidden)
+
+
+def _residual_counts(residual) -> list[int]:
+    """``counts[v]``: how many of the nonnegative ``residual`` equal v."""
+    counts = [0] * (max(residual, default=0) + 1)
+    for v in residual:
+        counts[v] += 1
+    return counts
+
+
+def _cg_counts(counts, residual, i: int, neighbours) -> bool:
+    """The CG verdict for node i with forbidden set ``neighbours``, where
+    ``residual[j - 1]`` is node j's residual degree (all of them >= 0) and
+    ``counts[v]`` the number of nodes whose residual is v.
+
+    Node i and its neighbours leave the counts, one stub each goes to the
+    r_i highest remaining residuals, and the neighbours come back.  False
+    if a stub would come from a node of residual 0, else the Erdos-Gallai
+    verdict on the counts.  O(len(counts) + |neighbours|); ``counts`` is
+    left as it was.
+    """
+    c = list(counts)
+    need = residual[i - 1]
+    c[need] -= 1
+    for j in neighbours:
+        c[residual[j - 1]] -= 1
+    takes = []
+    v = len(c) - 1
+    while need:
+        if not v:
+            return False
+        t = min(need, c[v])
+        if t:
+            takes.append((v, t))
+            need -= t
+        v -= 1
+    for v, t in takes:
+        c[v] -= t
+        c[v - 1] += t
+    for j in neighbours:
+        c[residual[j - 1]] += 1
+    return _eg_counts(c)
+
+
+def _eg_counts(c) -> bool:
+    """Erdos-Gallai on the multiset with ``c[v]`` members of value v >= 0.
+
+    In nonincreasing order d, the inequality needs checking only at the
+    ends of blocks of equal values (Tripathi & Vijay, "A note on a theorem
+    of Erdos & Gallai", 2003), and only up to the largest k with d_k >= k,
+    the cutoff of ``erdos_gallai_test``.  Up to there, each member past
+    position k adds min(k, d_j) = k unless it is < k, so with m members in
+    all the right-hand side is k(m-1) - k*below[k] + below_sum[k], where
+    ``below[t]`` and ``below_sum[t]`` count and sum the members < t.
+    """
+    below = list(accumulate(c, initial=0))
+    below_sum = list(accumulate(map(mul, range(len(c)), c), initial=0))
+    if below_sum[-1] % 2:
+        return False
+    m = below[-1]
+    k = lhs = 0
+    v = len(c) - 1
+    while v > k:
+        if c[v]:
+            x = min(c[v], v - k)  # a block cut short ends at the cutoff
+            k += x
+            lhs += v * x
+            if lhs > k * (m - 1 - below[k]) + below_sum[k]:
+                return False
+        v -= 1
+    return True

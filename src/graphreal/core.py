@@ -47,7 +47,8 @@ class TooManyForbidden(GraphRealError):
 
 class InvalidArgument(GraphRealError, ValueError):
     """An argument other than a degree or a label is of the wrong type or
-    out of range: a policy name, a sample count, a seed or a stream."""
+    out of range: a policy name, a sample count, a seed, a stream, a
+    restart budget or a graph's node count."""
 
 
 class OracleTooLarge(GraphRealError):
@@ -227,8 +228,11 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable = ()):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", _canonical_edges(int(n), edges))
+        (n,) = _integers((n,), InvalidArgument)
+        if n < 0:
+            raise InvalidArgument(f"node count must be >= 0, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _canonical_edges(n, edges))
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ForbiddenSet, LabeledGraph, OracleTooLarge, as_residuals
+from .core import ForbiddenSet, InvalidSet, LabeledGraph, OracleTooLarge, as_residuals
 
 _MAX_NODES = 10
 
@@ -26,6 +26,8 @@ class OracleQuery:
     fixed_partial: LabeledGraph | None = None
 
     def __init__(self, degrees, forbidden_star=None, fixed_partial=None):
+        if not (forbidden_star is None or isinstance(forbidden_star, ForbiddenSet)):
+            raise InvalidSet(f"forbidden_star {forbidden_star!r} is not a ForbiddenSet")
         object.__setattr__(self, "degrees", as_residuals(degrees))
         object.__setattr__(self, "forbidden_star", forbidden_star)
         object.__setattr__(self, "fixed_partial", fixed_partial)

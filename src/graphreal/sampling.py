@@ -21,7 +21,7 @@ from .core import (
     _integers,
     as_residuals,
 )
-from .constrained import cg_test
+from .constrained import _cg_counts, _residual_counts
 from .enumeration import _walk
 from .graphicality import erdos_gallai_test
 
@@ -187,8 +187,12 @@ def molloy_reed_sample(
     runs after every connection i-j, centered on i first (the endpoint
     whose stub was drawn first) then on j, with the node's current
     neighbours as its forbidden set; a failure restarts immediately.  The
-    budget caps the total number of stub pairings drawn across restarts.
+    test reads ``counts[v]``, the number of nodes of residual v, which each
+    connection updates in O(1), so it costs O(max degree + neighbours).
+    The budget caps the total number of stub pairings drawn across
+    restarts.
     """
+    (budget,) = _integers((budget,), InvalidArgument)
     degs = as_residuals(d)
     _check_graphical(degs)
     n = len(degs)
@@ -197,6 +201,7 @@ def molloy_reed_sample(
     drawn = 0
     while True:
         residual = list(degs)
+        counts = _residual_counts(degs) if early_reject else None
         remaining = sum(residual)
         adjacency: list[set[int]] = [set() for _ in range(n + 1)]
         fail: str | None = None
@@ -222,15 +227,20 @@ def molloy_reed_sample(
             adjacency[i].add(j)
             adjacency[j].add(i)
             stats.stub_connections_made += 1
-            # No TooManyForbidden here: the input passed EG, so d_i <= n-1,
-            # and an attempt stops at its first multi-edge, so a node's
-            # residual never exceeds its non-neighbours.
-            if early_reject and not (
-                cg_test(residual, i, adjacency[i])
-                and cg_test(residual, j, adjacency[j])
-            ):
-                fail = "cg_reject"
-                break
+            if early_reject:
+                for v in (i, j):
+                    counts[residual[v - 1] + 1] -= 1
+                    counts[residual[v - 1]] += 1
+                # The input passed EG, so d_i <= n-1, and an attempt stops
+                # at its first multi-edge, so a node's residual never
+                # exceeds its non-neighbours: the CG test's preconditions
+                # hold.
+                if not (
+                    _cg_counts(counts, residual, i, adjacency[i])
+                    and _cg_counts(counts, residual, j, adjacency[j])
+                ):
+                    fail = "cg_reject"
+                    break
         if fail is None:
             edges = [(u, v) for u in range(1, n + 1) for v in adjacency[u] if u < v]
             return LabeledGraph._trusted(n, edges), stats

@@ -1,12 +1,22 @@
 """Slow, literal versions of the graphicality kernels, kept as test oracles.
 
-``erdos_gallai_reference`` sums min(k, d_i) afresh for every k, and
+``erdos_gallai_reference`` sums min(k, d_i) afresh for every k,
 ``havel_hakimi_reference`` rebuilds and re-sorts the active list for every
-focal node.  The library's kernels must agree with them exactly.
+focal node, and ``molloy_reed_reference`` runs the public ``cg_test`` on the
+whole residual list after every connection.  The library's kernels must
+agree with them exactly.
 """
 
-from graphreal.core import DegreeTooLarge, LabeledGraph, NotGraphical, as_residuals
+from graphreal.constrained import cg_test
+from graphreal.core import (
+    DegreeTooLarge,
+    LabeledGraph,
+    NotGraphical,
+    RestartBudgetExceeded,
+    as_residuals,
+)
 from graphreal.graphicality import EgReport, NodeSelectionPolicy
+from graphreal.sampling import MrRunStats, SplitMix64, _check_graphical, _draw_stub
 
 
 def erdos_gallai_reference(d, check_all_k=False) -> EgReport:
@@ -66,3 +76,49 @@ def havel_hakimi_reference(
             adjacency[v].add(focal)
             edges.append((focal, v) if focal < v else (v, focal))
     return LabeledGraph(n, edges)
+
+
+def molloy_reed_reference(d, seed, early_reject=False, budget=10_000_000, stream=0):
+    """Molloy-Reed stub matching with ``cg_test`` after every connection."""
+    degs = as_residuals(d)
+    _check_graphical(degs)
+    n = len(degs)
+    rng = SplitMix64.stream(seed, stream)
+    stats = MrRunStats()
+    drawn = 0
+    while True:
+        residual = list(degs)
+        remaining = sum(residual)
+        adjacency = [set() for _ in range(n + 1)]
+        fail = None
+        while remaining > 0:
+            if drawn >= budget:
+                raise RestartBudgetExceeded(f"exceeded {budget} stub pairings", stats)
+            drawn += 1
+            i = _draw_stub(residual, rng.randrange(remaining))
+            residual[i - 1] -= 1
+            j = _draw_stub(residual, rng.randrange(remaining - 1))
+            residual[i - 1] += 1
+            if i == j:
+                fail = "self_loop"
+                break
+            if j in adjacency[i]:
+                fail = "multi_edge"
+                break
+            residual[i - 1] -= 1
+            residual[j - 1] -= 1
+            remaining -= 2
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+            stats.stub_connections_made += 1
+            if early_reject and not (
+                cg_test(residual, i, adjacency[i])
+                and cg_test(residual, j, adjacency[j])
+            ):
+                fail = "cg_reject"
+                break
+        if fail is None:
+            edges = [(u, v) for u in range(1, n + 1) for v in adjacency[u] if u < v]
+            return LabeledGraph(n, edges), stats
+        stats.restarts += 1
+        stats.rejection_causes[fail] += 1

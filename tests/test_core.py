@@ -9,6 +9,7 @@ from graphreal.core import (
     DegreeSequence,
     DegreeTooLarge,
     ForbiddenSet,
+    InvalidArgument,
     InvalidDegree,
     InvalidSet,
     LabeledGraph,
@@ -159,6 +160,13 @@ class TestLabeledGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidSet):
             LabeledGraph(3, [(1, 4)])
+
+    @pytest.mark.parametrize("n", [2.5, "2", None, -2])
+    def test_rejects_bad_node_count(self, n):
+        # LabeledGraph(2.5, [(1, 2)]).n used to be 2, and LabeledGraph(-2)
+        # a graph printed as "graph n=-2 m=0".
+        with pytest.raises(InvalidArgument):
+            LabeledGraph(n)
 
     def test_duplicate_edges_collapse(self):
         g = LabeledGraph(3, [(1, 2), (2, 1)])

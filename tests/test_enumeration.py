@@ -214,10 +214,12 @@ class TestCountRealizations:
 def test_no_cg_test_on_construction_paths(monkeypatch):
     # A(d) comes from degree classes and Erdos-Gallai alone.
     def forbidden(*args, **kwargs):
-        raise AssertionError("cg_test called")
+        raise AssertionError("CG test called")
 
-    for module in (enumeration, sampling, constrained):
-        monkeypatch.setattr(module, "cg_test", forbidden)
+    # cg_test and the residual-count kernel behind it, wherever imported.
+    for module, name in [(enumeration, "cg_test"), (constrained, "cg_test"),
+                         (constrained, "_cg_counts"), (sampling, "_cg_counts")]:
+        monkeypatch.setattr(module, name, forbidden)
     enumeration._groupings.cache_clear()
     assert count_realizations(HH_GAP_SEQUENCE).count == HH_GAP_COUNT
     assert sum(1 for _ in enumerate_all(HH_GAP_SEQUENCE)) == HH_GAP_COUNT

@@ -2,8 +2,10 @@
 
 The Erdos-Gallai test must give the reference's whole report, the
 Havel-Hakimi construction the reference's edge set (or its error type),
-and ``cg_test`` the verdict of the explicit leftmost-restricted set,
-reduction and Erdos-Gallai composition.
+``cg_test`` and its residual-count kernel the verdict of the explicit
+leftmost-restricted set, reduction and Erdos-Gallai composition, and
+Molloy-Reed sampling the graphs and statistics of the reference that runs
+``cg_test`` after every connection.
 """
 
 import itertools
@@ -12,10 +14,20 @@ import random
 import pytest
 
 from helpers import HH_GAP_SEQUENCE, exhaustive_family, graphical_family
-from kernel_references import erdos_gallai_reference, havel_hakimi_reference
+from kernel_references import (
+    erdos_gallai_reference,
+    havel_hakimi_reference,
+    molloy_reed_reference,
+)
 
 from graphreal import sampling
-from graphreal.constrained import cg_test, leftmost_restricted, reduce_by_set
+from graphreal.constrained import (
+    _eg_counts,
+    _residual_counts,
+    cg_test,
+    leftmost_restricted,
+    reduce_by_set,
+)
 from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
 from graphreal.graphicality import (
     NodeSelectionPolicy,
@@ -92,6 +104,12 @@ class TestErdosGallaiKernel:
         assert all(r.parity_ok and r.first_violated_k > 1 for r in past)
         assert not any(r.parity_ok for r in odd)
         assert {r.graphical for r in bases} == {True, False}
+
+    def test_counts_kernel(self):
+        # CG's Erdos-Gallai on counts per degree, checked at block ends.
+        for seq in [*exhaustive_family(max_n=7, max_deg=7), *large_sequences()]:
+            counts = _residual_counts(seq)
+            assert _eg_counts(counts) == erdos_gallai_test(seq).graphical, seq
 
     def test_negative_entry_raises(self):
         with pytest.raises(InvalidDegree):
@@ -187,27 +205,59 @@ class TestCgKernel:
             ((1, 1, 1, 1), 1, {5}),  # forbidden label outside 1..n
             ((1, 1, 1, 1), 1, ForbiddenSet(2, frozenset({3}))),  # another focal's star
             ((1, 1), 1, {"a"}),  # a label that is not an integer
+            ((1, 1), 1, None),  # not a set of labels
+            ((1, 1), 1, 2),
         ],
     )
     def test_invalid_star_raises(self, fn, d, i, x):
         with pytest.raises(InvalidSet):
             fn(d, i, x)
 
+    def test_oracle_query_refuses_other_star_types(self):
+        for star in ({2}, frozenset({2}), (1, {2})):
+            with pytest.raises(InvalidSet):
+                oracle_exists(OracleQuery((1, 1), forbidden_star=star))
+
     def test_molloy_reed_verdicts_match_composition(self, monkeypatch):
         # Every state early rejection tests, rejected ones included, gets
         # the verdict of the explicit composition.
         verdicts = {}
+        kernel = sampling._cg_counts
 
-        def recording(residual, i, x):
-            verdict = cg_test(residual, i, x)
+        def recording(counts, residual, i, x):
+            verdict = kernel(counts, residual, i, x)
             verdicts[tuple(residual), i, frozenset(x)] = verdict
             return verdict
 
-        monkeypatch.setattr(sampling, "cg_test", recording)
-        family = graphical_family(6)
-        views = [*family, *(s[::-1] for s in family if s != s[::-1]), HH_GAP_SEQUENCE]
-        for k, seq in enumerate(views):
+        monkeypatch.setattr(sampling, "_cg_counts", recording)
+        for k, seq in enumerate(mr_views()):
             sampling.molloy_reed_sample(seq, k % 3, early_reject=True, stream=k % 4)
         assert False in verdicts.values() and True in verdicts.values()
         for (residual, i, x), verdict in verdicts.items():
             assert cg_composition(residual, i, x) == verdict, (residual, i, x)
+
+
+def mr_views():
+    """``graphical_family(6)``, the reversal of each member that is not a
+    palindrome, and the Havel-Hakimi gap sequence."""
+    family = graphical_family(6)
+    return [*family, *(s[::-1] for s in family if s != s[::-1]), HH_GAP_SEQUENCE]
+
+
+class TestMolloyReedKernel:
+    @pytest.mark.parametrize("early_reject", [False, True])
+    def test_family_matches_reference(self, early_reject):
+        for seq in mr_views():
+            for seed, stream in itertools.product(range(3), range(4)):
+                got = sampling.molloy_reed_sample(seq, seed, early_reject, stream=stream)
+                want = molloy_reed_reference(seq, seed, early_reject, stream=stream)
+                assert got == want, (seq, seed, stream)
+
+    @pytest.mark.parametrize("early_reject", [False, True])
+    def test_benchmark_shape_matches_reference(self, early_reject):
+        # The sample-mr shape: 60 twos and 240 ones, shuffled.
+        for seed in range(8):
+            seq = [2] * 60 + [1] * 240
+            random.Random(seed).shuffle(seq)
+            got = sampling.molloy_reed_sample(seq, seed, early_reject)
+            assert got == molloy_reed_reference(seq, seed, early_reject), seed

@@ -252,6 +252,12 @@ class TestMolloyReed:
             molloy_reed_sample((2, 2, 2), seed=0, budget=1)
         assert info.value.stats is not None
 
+    @pytest.mark.parametrize("budget", [None, 1.5, "10"])
+    def test_non_integer_budget(self, budget):
+        # budget=None used to raise a raw TypeError; 1.5 was accepted.
+        with pytest.raises(InvalidArgument):
+            molloy_reed_sample((1, 1), 0, budget=budget)
+
     def test_not_graphical(self):
         with pytest.raises(NotGraphical):
             molloy_reed_sample((1, 1, 1), seed=0)

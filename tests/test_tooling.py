@@ -35,3 +35,15 @@ def test_one_benchmark_round_is_correct(workload):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+
+
+def test_one_traced_round_is_correct():
+    # The per-layer wrappers still find every function they look up.
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "sample-mr", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=RUN.parent.parent,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
