@@ -5,6 +5,9 @@ sequence per line).  Exit codes: 0 success / graphical, 1 not graphical,
 2 malformed input.  Every line of a batch is handled on its own: a line
 that fails gets an ``error:`` line on stderr, the batch goes on, and the
 exit code is the worst of any line.
+
+Each subcommand imports the modules it runs when it runs, so a call loads
+no more of the library than it needs.
 """
 
 from __future__ import annotations
@@ -25,15 +28,7 @@ from .core import (
     parse_sequence,
     validate_input_sequence,
 )
-from .constrained import cg_test
-from .enumeration import count_realizations, enumerate_all
-from .graphicality import (
-    NodeSelectionPolicy,
-    erdos_gallai_test,
-    havel_hakimi_construct,
-)
-from .oracle import OracleQuery, oracle_enumerate, oracle_exists
-from .sampling import estimate_count, molloy_reed_sample, sample_weighted
+from .graphicality import NodeSelectionPolicy, erdos_gallai_test, havel_hakimi_construct
 
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
@@ -183,13 +178,14 @@ def _cmd_test(args, raw, out) -> int:
     except DegreeTooLarge:
         ok = False  # a degree above n-1 is simply non-graphical, e.g. {3,2,1}
     else:
-        if forbid is not None and args.oracle:
+        if args.oracle:
+            from .oracle import OracleQuery, oracle_exists
             # --forbid labels are input positions, so test the input order.
-            ok = oracle_exists(OracleQuery(raw, forbidden_star=forbid))
+            ok = oracle_exists(OracleQuery(d.degrees) if forbid is None
+                               else OracleQuery(raw, forbidden_star=forbid))
         elif forbid is not None:
+            from .constrained import cg_test
             ok = cg_test(raw, forbid.focal, forbid)
-        elif args.oracle:
-            ok = oracle_exists(OracleQuery(d.degrees))
         else:
             ok = erdos_gallai_test(d).graphical
     out.write("graphical\n" if ok else "not-graphical\n")
@@ -209,9 +205,11 @@ def _cmd_enumerate(args, raw, out) -> int:
     except DegreeTooLarge:
         return 0  # non-graphical: empty stream
     if args.oracle:
+        from .oracle import OracleQuery, oracle_enumerate
         graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
                         key=LabeledGraph.canonical_edges)
     else:
+        from .enumeration import enumerate_all
         graphs = enumerate_all(d)
     labels, n, fmt = _input_labels(d), len(raw), args.format
     separator = "" if fmt == "jsonlines" else "\n"
@@ -227,9 +225,11 @@ def _cmd_count(args, raw, out) -> int:
         out.write("count=0 memo_entries=0\n")
         return 0
     if args.oracle:
+        from .oracle import OracleQuery, oracle_enumerate
         out.write(f"count={len(oracle_enumerate(OracleQuery(d.degrees)))} "
                   "memo_entries=0\n")
     else:
+        from .enumeration import count_realizations
         result = count_realizations(d)
         out.write(f"count={_decimal(result.count)} "
                   f"memo_entries={result.memo_entries}\n")
@@ -237,6 +237,7 @@ def _cmd_count(args, raw, out) -> int:
 
 
 def _cmd_sample(args, raw, out) -> int:
+    from .sampling import molloy_reed_sample, sample_weighted
     seed = _seed(args)
     d = validate_input_sequence(raw)
     labels = _input_labels(d)
@@ -255,9 +256,13 @@ def _cmd_sample(args, raw, out) -> int:
 
 
 def _cmd_estimate(args, raw, out) -> int:
+    from .sampling import estimate_count
     d = validate_input_sequence(raw)
     result = estimate_count(d, args.samples, _seed(args))
-    exact = _decimal(count_realizations(d).count) if args.with_exact else "unknown"
+    exact = "unknown"
+    if args.with_exact:
+        from .enumeration import count_realizations
+        exact = _decimal(count_realizations(d).count)
     out.write(
         f"estimate={_fixed6(result.estimate)} "
         f"stderr={result.stderr:.6f} exact={exact}\n"

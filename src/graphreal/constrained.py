@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -13,12 +12,12 @@ from .core import (
     InvalidDegree,
     InvalidSet,
     TooManyForbidden,
+    _Record,
     as_residuals,
 )
 
 
-@dataclass(frozen=True)
-class ReducedSequence:
+class ReducedSequence(_Record):
     """Residual degrees after removing a focal node and its adjacency set.
 
     Zeros stay in place so node labels remain stable.  Any -1 entry marks
@@ -26,8 +25,7 @@ class ReducedSequence:
     left to give).
     """
 
-    residuals: tuple[int, ...]
-    removed: int
+    __slots__ = ("residuals", "removed")
 
     @property
     def has_negative(self) -> bool:

@@ -9,8 +9,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class GraphRealError(Exception):
@@ -63,27 +62,76 @@ class RestartBudgetExceeded(GraphRealError):
         self.stats = stats
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class _Record:
+    """Base of the immutable value types, whose fields are their ``__slots__``.
+
+    Two records are equal when they are of one class with equal fields; a
+    record hashes as the tuple of its fields and shows as
+    ``Name(field=value, ...)``.  Fields are set once, by ``__init__``;
+    assigning or deleting one later raises AttributeError.  This
+    ``__init__`` takes the fields in order, by position or by name; a
+    subclass that checks its fields sets them in its own ``__init__`` with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(operator.attrgetter(*cls.__slots__))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                fields = ", ".join(names)
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields
+
+
+class DegreeSequence(_Record):
     """Nonincreasing degree sequence; entry k (1-based) belongs to node k.
 
     Input sequences should be built through :func:`validate_input_sequence`,
-    which sorts, strips zeros and records the applied permutation.  Residual
+    which sorts, strips zeros and records the applied permutation: node
+    label -> 1-based position in the original (unsorted) input.  Residual
     sequences produced by reductions may legitimately contain zeros.
     """
 
-    degrees: tuple[int, ...]
-    # node label -> 1-based position in the original (unsorted) input
-    permutation: tuple[int, ...] | None = None
+    __slots__ = ("degrees", "permutation")
 
-    def __post_init__(self):
-        degs = as_residuals(self.degrees)
-        object.__setattr__(self, "degrees", degs)
+    def __init__(self, degrees, permutation=None):
+        degs = as_residuals(degrees)
         if degs and degs[-1] < 0:
             raise InvalidDegree("degrees must be nonnegative")
         for a, b in zip(degs, degs[1:]):
             if a < b:
                 raise InvalidDegree("degree sequence must be nonincreasing")
+        object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "permutation", permutation)
 
     @property
     def n(self) -> int:
@@ -147,22 +195,17 @@ def validate_input_sequence(raw: Sequence[int]) -> DegreeSequence:
     return DegreeSequence(degrees, permutation)
 
 
-@dataclass(frozen=True)
-class AdjacencySet:
+class AdjacencySet(_Record):
     """An increasingly ordered set of distinct neighbours of a focal node.
 
     During incremental construction the members may be a prefix of the
     focal node's final neighbourhood.
     """
 
-    focal: int
-    members: tuple[int, ...]
+    __slots__ = ("focal", "members")
 
-    def __post_init__(self):
-        focal, *members = _integers((self.focal, *self.members), InvalidSet)
-        members = tuple(members)
-        object.__setattr__(self, "focal", focal)
-        object.__setattr__(self, "members", members)
+    def __init__(self, focal, members):
+        focal, *members = _integers((focal, *members), InvalidSet)
         if focal < 1:
             raise InvalidSet(f"focal label {focal} out of range")
         for a, b in zip(members, members[1:]):
@@ -172,6 +215,8 @@ class AdjacencySet:
             raise InvalidSet("member labels must be >= 1")
         if focal in members:
             raise InvalidSet("focal node cannot be its own neighbour")
+        object.__setattr__(self, "focal", focal)
+        object.__setattr__(self, "members", tuple(members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -180,22 +225,19 @@ class AdjacencySet:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(_Record):
     """The star of connections a focal node must avoid."""
 
-    focal: int
-    members: frozenset[int]
+    __slots__ = ("focal", "members")
 
-    def __post_init__(self):
-        focal, *members = _integers((self.focal, *self.members), InvalidSet)
-        members = frozenset(members)
-        object.__setattr__(self, "focal", focal)
-        object.__setattr__(self, "members", members)
+    def __init__(self, focal, members):
+        focal, *members = _integers((focal, *members), InvalidSet)
         if focal in members:
             raise InvalidSet("focal node cannot forbid itself")
         if any(m < 1 for m in members):
             raise InvalidSet("member labels must be >= 1")
+        object.__setattr__(self, "focal", focal)
+        object.__setattr__(self, "members", frozenset(members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -216,16 +258,14 @@ def _canonical_edges(n: int, edges: Iterable) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Record):
     """Simple undirected graph on nodes 1..n, canonical edge-set form.
 
     Equality is labeled equality: two graphs are equal iff their canonical
     edge sets coincide (not isomorphism).
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable = ()):
         (n,) = _integers((n,), InvalidArgument)

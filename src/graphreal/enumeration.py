@@ -12,22 +12,19 @@ serves enumeration and both tree samplers.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, groupby, takewhile
 from math import comb, prod
-from typing import Iterator
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
+from .core import _Record
 from .constrained import cg_test
 from .graphicality import erdos_gallai_test
 
 
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    memo_hits: int
-    memo_entries: int
+class CountResult(_Record):
+    __slots__ = ("count", "memo_hits", "memo_entries")
 
 
 def _focal_sequence(d) -> tuple[int, ...]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
@@ -14,22 +13,19 @@ from .core import (
     InvalidDegree,
     LabeledGraph,
     NotGraphical,
+    _Record,
     as_residuals,
 )
 
 
-@dataclass(frozen=True)
-class EgReport:
+class EgReport(_Record):
     """Outcome of the Erdos-Gallai test.
 
     ``s_bound`` is the largest prefix length actually checked; with the
     Tripathi-Vijay cutoff this is the largest k with d_k >= k.
     """
 
-    graphical: bool
-    parity_ok: bool
-    first_violated_k: int | None
-    s_bound: int
+    __slots__ = ("graphical", "parity_ok", "first_violated_k", "s_bound")
 
 
 class NodeSelectionPolicy(enum.Enum):

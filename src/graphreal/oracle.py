@@ -9,26 +9,38 @@ between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import ForbiddenSet, InvalidSet, LabeledGraph, OracleTooLarge, as_residuals
+from .core import _Record
 
 _MAX_NODES = 10
 
 
-@dataclass(frozen=True)
-class OracleQuery:
-    """Degrees to realize, an optional forbidden star, optional forced edges."""
+class OracleQuery(_Record):
+    """Degrees to realize, an optional forbidden star, optional forced edges.
 
-    degrees: tuple[int, ...]
-    forbidden_star: ForbiddenSet | None = None
-    fixed_partial: LabeledGraph | None = None
+    The star and the forced edges must lie on the nodes 1..n of the degrees,
+    else InvalidSet.
+    """
+
+    __slots__ = ("degrees", "forbidden_star", "fixed_partial")
 
     def __init__(self, degrees, forbidden_star=None, fixed_partial=None):
-        if not (forbidden_star is None or isinstance(forbidden_star, ForbiddenSet)):
-            raise InvalidSet(f"forbidden_star {forbidden_star!r} is not a ForbiddenSet")
-        object.__setattr__(self, "degrees", as_residuals(degrees))
+        degrees = as_residuals(degrees)
+        n = len(degrees)
+        if forbidden_star is not None:
+            if not isinstance(forbidden_star, ForbiddenSet):
+                raise InvalidSet(
+                    f"forbidden_star {forbidden_star!r} is not a ForbiddenSet")
+            if not all(1 <= v <= n for v in (forbidden_star.focal, *forbidden_star)):
+                raise InvalidSet(f"forbidden star {forbidden_star} outside 1..{n}")
+        if fixed_partial is not None:
+            if not isinstance(fixed_partial, LabeledGraph):
+                raise InvalidSet(f"fixed_partial {fixed_partial!r} is not a LabeledGraph")
+            if fixed_partial.n != n:
+                raise InvalidSet(f"fixed_partial has {fixed_partial.n} nodes, not {n}")
+        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "forbidden_star", forbidden_star)
         object.__setattr__(self, "fixed_partial", fixed_partial)
 

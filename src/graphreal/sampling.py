@@ -9,9 +9,8 @@ increment, finalizing each output with the splitmix64 mixer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .core import (
     InvalidArgument,
@@ -19,6 +18,7 @@ from .core import (
     NotGraphical,
     RestartBudgetExceeded,
     _integers,
+    _Record,
     as_residuals,
 )
 from .constrained import _cg_counts, _residual_counts
@@ -60,29 +60,29 @@ class SplitMix64:
                 return u % n
 
 
-@dataclass(frozen=True)
-class RealizationSample:
+class RealizationSample(_Record):
     """One realization with its exact generation probability."""
 
-    graph: LabeledGraph
-    probability: Fraction
-    branch_sizes: tuple[int, ...]
+    __slots__ = ("graph", "probability", "branch_sizes")
 
 
-@dataclass(frozen=True)
-class CountEstimate:
-    estimate: Fraction
-    stderr: float
-    samples: int
+class CountEstimate(_Record):
+    __slots__ = ("estimate", "stderr", "samples")
 
 
-@dataclass
-class MrRunStats:
-    restarts: int = 0
-    rejection_causes: dict[str, int] = field(
-        default_factory=lambda: {"self_loop": 0, "multi_edge": 0, "cg_reject": 0}
-    )
-    stub_connections_made: int = 0
+class MrRunStats(_Record):
+    """Counters of one Molloy-Reed run, updated in place, so not hashable."""
+
+    __slots__ = ("restarts", "rejection_causes", "stub_connections_made")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, restarts=0, rejection_causes=None, stub_connections_made=0):
+        self.restarts = restarts
+        self.rejection_causes = (rejection_causes if rejection_causes is not None
+                                 else {"self_loop": 0, "multi_edge": 0, "cg_reject": 0})
+        self.stub_connections_made = stub_connections_made
 
 
 def _check_graphical(degs: tuple[int, ...]) -> None:

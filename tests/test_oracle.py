@@ -1,8 +1,16 @@
+import io
 import itertools
 
 import pytest
 
-from graphreal.core import ForbiddenSet, LabeledGraph, OracleTooLarge, graph_degree_sequence
+from graphreal.cli import run
+from graphreal.core import (
+    ForbiddenSet,
+    InvalidSet,
+    LabeledGraph,
+    OracleTooLarge,
+    graph_degree_sequence,
+)
 from graphreal.oracle import OracleQuery, oracle_enumerate, oracle_exists
 
 
@@ -74,3 +82,39 @@ class TestSymmetry:
         for i, j in itertools.permutations(range(1, 5), 2):
             q = OracleQuery((2, 2, 2, 2), forbidden_star=ForbiddenSet(i, frozenset({j})))
             assert len(oracle_enumerate(q)) == base
+
+
+class TestQueryChecks:
+    """A query whose star or forced edges leave the nodes 1..n is refused,
+    as cg_test refuses such a star, instead of being answered."""
+
+    @pytest.mark.parametrize(
+        "star", [ForbiddenSet(5, frozenset({1})), ForbiddenSet(1, frozenset({3})),
+                 ForbiddenSet(0, frozenset({1}))],
+    )
+    def test_star_outside_the_nodes(self, star):
+        with pytest.raises(InvalidSet):
+            oracle_exists(OracleQuery((1, 1), forbidden_star=star))
+
+    def test_partial_on_other_nodes(self):
+        with pytest.raises(InvalidSet):
+            oracle_exists(OracleQuery((1, 1), fixed_partial=LabeledGraph(5, [(4, 5)])))
+        with pytest.raises(InvalidSet):
+            oracle_exists(OracleQuery((1, 1, 1), fixed_partial=LabeledGraph(2, [(1, 2)])))
+
+    @pytest.mark.parametrize("partial", [[(1, 2)], ((1, 2),), 2])
+    def test_partial_that_is_not_a_graph(self, partial):
+        with pytest.raises(InvalidSet):
+            oracle_exists(OracleQuery((1, 1), fixed_partial=partial))
+
+    def test_oversized_star_is_not_graphical(self):
+        # |X| > n - 1 - d_i leaves node 1 too few neighbours: no realization.
+        star = ForbiddenSet(1, frozenset({2, 3}))
+        assert oracle_exists(OracleQuery((2, 2, 2, 2), forbidden_star=star)) is False
+
+    def test_cli_star_outside_the_nodes(self):
+        for extra in ([], ["--oracle"]):
+            out, err = io.StringIO(), io.StringIO()
+            code = run(["test", "-s", "1 1", "--forbid", "5:1", *extra], out=out, err=err)
+            assert (code, out.getvalue()) == (2, ""), extra
+            assert err.getvalue().startswith("error:"), extra

@@ -1,0 +1,120 @@
+"""The package's public names, and the modules a command-line call loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import graphreal
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every name ``graphreal`` exports, with the submodule that defines it.
+PUBLIC = {
+    **dict.fromkeys(
+        ["AdjacencySet", "DegreeSequence", "DegreeTooLarge", "ForbiddenSet",
+         "GraphRealError", "Incomparable", "InvalidArgument", "InvalidDegree",
+         "InvalidSet", "LabeledGraph", "NotGraphical", "OracleTooLarge", "ParseError",
+         "RestartBudgetExceeded", "TooManyForbidden", "format_graph", "format_sequence",
+         "graph_degree_sequence", "parse_graphs", "parse_sequence", "parse_sequences",
+         "validate_input_sequence"], "core"),
+    **dict.fromkeys(
+        ["EgReport", "NodeSelectionPolicy", "erdos_gallai_test",
+         "havel_hakimi_construct", "havel_hakimi_reduce"], "graphicality"),
+    **dict.fromkeys(
+        ["ReducedSequence", "cg_test", "colex_less", "leftmost_restricted",
+         "reduce_by_set", "set_leq"], "constrained"),
+    **dict.fromkeys(
+        ["CountResult", "all_adjacency_sets", "count_realizations", "enumerate_all",
+         "enumerate_all_parallel", "rightmost_adjacency_set"], "enumeration"),
+    **dict.fromkeys(
+        ["CountEstimate", "MrRunStats", "RealizationSample", "SplitMix64",
+         "enumerate_with_probabilities", "estimate_count", "molloy_reed_sample",
+         "sample_weighted"], "sampling"),
+    **dict.fromkeys(["OracleQuery", "oracle_enumerate", "oracle_exists"], "oracle"),
+}
+
+
+class TestPublicNames:
+    def test_fifty_names(self):
+        assert len(PUBLIC) == 50
+        assert sorted(graphreal.__all__) == sorted(PUBLIC)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_name_is_its_submodules_object(self, name):
+        submodule = importlib.import_module(f"graphreal.{PUBLIC[name]}")
+        assert getattr(graphreal, name) is getattr(submodule, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from graphreal import *", namespace)
+        for name, submodule in PUBLIC.items():
+            module = importlib.import_module(f"graphreal.{submodule}")
+            assert namespace[name] is getattr(module, name), name
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC) <= set(dir(graphreal))
+        assert "__version__" in dir(graphreal)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError):
+            graphreal.no_such_name
+        with pytest.raises(ImportError):
+            exec("from graphreal import no_such_name", {})
+
+    def test_version(self):
+        assert graphreal.__version__ == "0.1.0"
+
+
+def modules_added(statement):
+    """The modules that running ``statement`` in a fresh interpreter loads."""
+    script = (
+        "import io, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def cli_modules(argv):
+    return modules_added(
+        f"from graphreal import cli; cli.run({argv!r}, out=io.StringIO())"
+    )
+
+
+UNUSED_BY_TEST = {
+    "dataclasses", "inspect", "fractions", "decimal", "graphreal.constrained",
+    "graphreal.enumeration", "graphreal.sampling", "graphreal.oracle",
+}
+
+
+class TestStartUp:
+    def test_import_loads_no_submodule(self):
+        assert {m for m in modules_added("import graphreal")
+                if m.startswith("graphreal.")} == set()
+
+    def test_test_loads_only_what_it_runs(self):
+        assert not cli_modules(["test", "-s", "1 1"]) & UNUSED_BY_TEST
+
+    def test_forbid_adds_only_the_constrained_module(self):
+        added = cli_modules(["test", "-s", "1 1", "--forbid", "1:"])
+        assert added & UNUSED_BY_TEST == {"graphreal.constrained"}
+
+    def test_count_loads_neither_sampler_nor_oracle(self):
+        added = cli_modules(["count", "-s", "2 2 2"])
+        assert "graphreal.enumeration" in added
+        assert not added & {"graphreal.sampling", "graphreal.oracle"}
+
+    def test_no_dataclasses_anywhere(self):
+        assert "dataclasses" not in modules_added(
+            "import graphreal; from graphreal import *"
+        )

@@ -47,3 +47,19 @@ def test_one_traced_round_is_correct():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+
+
+def test_traced_wrappers_reach_imports_made_per_subcommand():
+    # The command line imports constrained only under --forbid, inside the
+    # call; the traced run must still count the wrapped EG and CG kernels.
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "decide-test", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=RUN.parent.parent,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+    metrics = result["metrics"]
+    assert metrics["graphicality.eg_calls"]["value"] > 0, proc.stdout
+    assert metrics["constrained.cg_calls"]["value"] > 0, proc.stdout
