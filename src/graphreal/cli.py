@@ -24,6 +24,7 @@ from .core import (
     LabeledGraph,
     NotGraphical,
     ParseError,
+    _check_room,
     _graph_text,
     parse_sequence,
     validate_input_sequence,
@@ -181,8 +182,12 @@ def _cmd_test(args, raw, out) -> int:
         if args.oracle:
             from .oracle import OracleQuery, oracle_exists
             # --forbid labels are input positions, so test the input order.
-            ok = oracle_exists(OracleQuery(d.degrees) if forbid is None
-                               else OracleQuery(raw, forbidden_star=forbid))
+            if forbid is None:
+                query = OracleQuery(d.degrees)
+            else:
+                query = OracleQuery(raw, forbidden_star=forbid)
+                _check_room(raw, forbid)  # refused as on the kernel path
+            ok = oracle_exists(query)
         elif forbid is not None:
             from .constrained import cg_test
             ok = cg_test(raw, forbid.focal, forbid)

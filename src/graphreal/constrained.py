@@ -11,7 +11,7 @@ from .core import (
     Incomparable,
     InvalidDegree,
     InvalidSet,
-    TooManyForbidden,
+    _check_room,
     _Record,
     as_residuals,
 )
@@ -85,8 +85,7 @@ def _star(degs: tuple[int, ...], i: int, x) -> tuple[int, frozenset[int], int]:
     di = degs[star.focal - 1]
     if di < 0:
         raise InvalidDegree(f"focal {i} has negative degree {di}")
-    if len(star) > n - 1 - di:
-        raise TooManyForbidden(f"|X|={len(star)} exceeds n-1-d_i={n - 1 - di}")
+    _check_room(degs, star)
     return star.focal, star.members, di
 
 

@@ -225,6 +225,14 @@ class AdjacencySet(_Record):
         return iter(self.members)
 
 
+def _check_room(degs, star: ForbiddenSet) -> None:
+    """TooManyForbidden unless the star leaves its focal node i at least d_i
+    allowed neighbours: |X| <= n - 1 - d_i.  The focal must be in 1..n."""
+    room = len(degs) - 1 - degs[star.focal - 1]
+    if len(star) > room:
+        raise TooManyForbidden(f"|X|={len(star)} exceeds n-1-d_i={room}")
+
+
 class ForbiddenSet(_Record):
     """The star of connections a focal node must avoid."""
 

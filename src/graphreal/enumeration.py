@@ -6,7 +6,8 @@ adjacency set for it in decreasing colexicographic order, and descends on
 the reduced residuals.  Each labeled graph is produced exactly once.  A set
 qualifies by how many members it takes from each class of equal degree
 alone, so A(d) is derived from these groupings.  One walker, ``_walk``,
-serves enumeration and both tree samplers.
+serves enumeration and the weighted sampler; the count and the estimate
+descend the groupings' child multisets and build no labelled graph.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     With ``pick`` None every set is taken in turn, in decreasing colex
     order; otherwise ``pick(k)`` draws an index into the ``k`` sets at each
     level, which ``_nth_set`` maps to a set without building A(d), and the
-    walk ends at the single leaf it reaches.  The tree is walked with an
+    walk ends at the single leaf it reaches: ``sample_weighted`` uses this
+    mode, since it needs the edges.  The tree is walked with an
     explicit stack, so its depth is not bounded by Python's recursion limit.
     """
     residual = list(degs)

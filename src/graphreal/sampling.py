@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     InvalidArgument,
@@ -22,11 +22,11 @@ from .core import (
     as_residuals,
 )
 from .constrained import _cg_counts, _residual_counts
-from .enumeration import _walk
 from .graphicality import erdos_gallai_test
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ways = itemgetter(1)  # of a grouping (picks, ways, child)
 
 
 def _mix64(z: int) -> int:
@@ -95,6 +95,7 @@ def _draw(degs, rng: SplitMix64):
     uniform over the adjacency sets at each level.  A level with a single
     set draws nothing from ``rng``.
     """
+    from .enumeration import _walk
     return next(_walk(degs, lambda k: rng.randrange(k) if k > 1 else 0))
 
 
@@ -105,6 +106,7 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     the branch counts along the path.  Deterministic given seed and
     stream index (one stream per sample in a batch).
     """
+    from fractions import Fraction
     degs = as_residuals(d)
     _check_graphical(degs)
     edges, branch_sizes = _draw(degs, SplitMix64.stream(seed, stream))
@@ -118,22 +120,40 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
 def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     """Unbiased estimate of the number of realizations: the mean of 1/P(G).
 
+    A draw descends the sorted degree multisets of the construction tree,
+    not labelled residuals: at each level it draws the index of one of the
+    |A(d)| sets, as ``sample_weighted`` does, and moves to the multiset that
+    set leaves.  Both the draws and |A(d)| depend only on the multiset, so
+    each weight equals that of the labelled walk for the same seed.
+
     Each draw uses its own RNG stream, so batches may run concurrently and
     merge associatively.  The standard error is the sample standard
     deviation of the weights divided by sqrt(samples); it is computed
     exactly and only the final square root is a float, so weights far
     beyond the float range cannot overflow it.
     """
+    from fractions import Fraction
+    from .enumeration import _groupings
     (samples,) = _integers((samples,), InvalidArgument)
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     degs = as_residuals(d)
     _check_graphical(degs)
+    root = tuple(sorted((x for x in degs if x > 0), reverse=True))
     total = 0
     total_sq = 0
     for i in range(samples):
-        _, branch_sizes = _draw(degs, SplitMix64.stream(seed, i))
-        w = math.prod(branch_sizes)  # exactly 1 / P(G)
+        rng = SplitMix64.stream(seed, i)
+        seq, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
+        while seq:
+            groupings = _groupings(seq)
+            size = sum(map(_ways, groupings))
+            r = rng.randrange(size) if size > 1 else 0
+            w *= size
+            for _, ways, seq in groupings:  # the grouping r falls in
+                if r < ways:
+                    break
+                r -= ways
         total += w
         total_sq += w * w
     estimate = Fraction(total, samples)
@@ -166,6 +186,8 @@ def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
     path, so summing the probabilities over the full stream yields exactly
     1 for any graphical sequence.
     """
+    from fractions import Fraction
+    from .enumeration import _walk
     degs = as_residuals(d)
     if not erdos_gallai_test(degs).graphical:
         return

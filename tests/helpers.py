@@ -9,6 +9,12 @@ from graphreal.graphicality import erdos_gallai_test
 
 HH_GAP_SEQUENCE = (3, 3, 2, 2, 2, 2, 2, 2)
 HH_GAP_COUNT = 4265  # pinned from oracle_enumerate; acceptance re-derives it
+# Medium sequences in the shape of the benchmark's estimate inputs: three 2s,
+# six 3s and four 4s, then two 2s, eight 3s and four 4s, labels unsorted.
+ESTIMATE_SHAPED = (
+    (3, 2, 4, 3, 3, 2, 4, 3, 4, 2, 3, 4, 3),
+    (3, 4, 3, 2, 3, 3, 4, 3, 4, 3, 2, 3, 4, 3),
+)
 
 
 def nonincreasing_sequences(n, max_deg):

@@ -2,10 +2,14 @@
 
 ``erdos_gallai_reference`` sums min(k, d_i) afresh for every k,
 ``havel_hakimi_reference`` rebuilds and re-sorts the active list for every
-focal node, and ``molloy_reed_reference`` runs the public ``cg_test`` on the
-whole residual list after every connection.  The library's kernels must
-agree with them exactly.
+focal node, ``molloy_reed_reference`` runs the public ``cg_test`` on the
+whole residual list after every connection, and ``estimate_reference``
+weighs each draw by the branch sizes of the labelled tree walk.  The
+library's kernels must agree with them exactly.
 """
+
+import math
+from fractions import Fraction
 
 from graphreal.constrained import cg_test
 from graphreal.core import (
@@ -16,7 +20,15 @@ from graphreal.core import (
     as_residuals,
 )
 from graphreal.graphicality import EgReport, NodeSelectionPolicy
-from graphreal.sampling import MrRunStats, SplitMix64, _check_graphical, _draw_stub
+from graphreal.sampling import (
+    CountEstimate,
+    MrRunStats,
+    SplitMix64,
+    _check_graphical,
+    _draw,
+    _draw_stub,
+    _float_sqrt,
+)
 
 
 def erdos_gallai_reference(d, check_all_k=False) -> EgReport:
@@ -122,3 +134,20 @@ def molloy_reed_reference(d, seed, early_reject=False, budget=10_000_000, stream
             return LabeledGraph(n, edges), stats
         stats.restarts += 1
         stats.rejection_causes[fail] += 1
+
+
+def estimate_reference(d, samples, seed) -> CountEstimate:
+    """The importance-sampling estimate with every draw a labelled walk of
+    the construction tree: each weight is the product of its branch sizes."""
+    degs = as_residuals(d)
+    _check_graphical(degs)
+    weights = [math.prod(_draw(degs, SplitMix64.stream(seed, i))[1])
+               for i in range(samples)]
+    total, total_sq = sum(weights), sum(w * w for w in weights)
+    if samples > 1:
+        stderr = _float_sqrt(Fraction(
+            total_sq * samples - total * total, samples * samples * (samples - 1)
+        ))
+    else:
+        stderr = float("inf")
+    return CountEstimate(Fraction(total, samples), stderr, samples)

@@ -7,7 +7,8 @@ from io import StringIO
 
 import pytest
 
-from helpers import unlimited_int_digits
+from helpers import ESTIMATE_SHAPED, unlimited_int_digits
+from kernel_references import estimate_reference
 
 from graphreal.cli import run
 from graphreal.core import (
@@ -52,6 +53,14 @@ class TestTest:
         code, _, err = invoke(["test", "-s", "2 2 2 2", "--forbid", "1:2,3"])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_forbid_too_many_with_oracle(self):
+        # The oracle path refuses the star as the kernel path does.
+        argv = ["test", "-s", "2 2 2 2", "--forbid", "1:2,3"]
+        code, out, err = invoke([*argv, "--oracle"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert (code, out, err) == invoke(argv)
 
     def test_forbid_labels_in_input_order(self):
         # Node 3 has degree 2; the graph 1-3, 2-3 avoids the edge 1-2.
@@ -208,6 +217,15 @@ class TestEstimate:
         assert (code, err) == (0, "")
         want = math.prod(range(1, 400, 2))
         assert out == f"estimate={want}.000000 stderr=0.000000 exact=unknown\n"
+
+    @pytest.mark.parametrize("seq", ESTIMATE_SHAPED)
+    def test_line_equals_labelled_walk_reference(self, seq):
+        ref = estimate_reference(seq, 500, 7)
+        code, out, err = invoke(["estimate", "-s", " ".join(map(str, seq)),
+                                 "--samples", "500", "--seed", "7"])
+        assert (code, err) == (0, "")
+        assert out == (f"estimate={float(ref.estimate):.6f} "
+                       f"stderr={ref.stderr:.6f} exact=unknown\n")
 
 
 class TestBadCounts:

@@ -114,6 +114,12 @@ class TestStartUp:
         assert "graphreal.enumeration" in added
         assert not added & {"graphreal.sampling", "graphreal.oracle"}
 
+    def test_mr_sample_loads_neither_fractions_nor_enumeration(self):
+        # Stub matching needs no exact probabilities and no tree walk.
+        added = cli_modules(["sample", "-s", "2 2 2 2", "--method", "mr", "--seed", "1"])
+        assert "graphreal.sampling" in added
+        assert not added & {"fractions", "decimal", "graphreal.enumeration"}
+
     def test_no_dataclasses_anywhere(self):
         assert "dataclasses" not in modules_added(
             "import graphreal; from graphreal import *"

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ESTIMATE_SHAPED,
     HH_GAP_SEQUENCE,
     canonical_set,
     graphical_family,
     recursion_headroom,
 )
+from kernel_references import estimate_reference
 
 from graphreal.core import (
     InvalidArgument,
@@ -195,6 +197,21 @@ class TestEstimateCount:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             estimate_count((1, 1), samples=0, seed=0)
+
+    def test_equals_labelled_walk_reference(self):
+        # Descending degree multisets draws the same indices and weights as
+        # the labelled walk, so estimate, stderr and samples agree exactly.
+        for seq in graphical_family(max_n=6):
+            for seed in (0, 7, 2**31 + 7):
+                got = estimate_count(seq, 12, seed)
+                assert got == estimate_reference(seq, 12, seed), (seq, seed)
+        assert estimate_count((2, 1, 1), 1, 3) == estimate_reference((2, 1, 1), 1, 3)
+
+    @pytest.mark.parametrize("seq", ESTIMATE_SHAPED)
+    def test_equals_reference_on_unsorted_medium_sequences(self, seq):
+        assert sorted(seq, reverse=True) != list(seq)
+        for seed in (1, 12345):
+            assert estimate_count(seq, 300, seed) == estimate_reference(seq, 300, seed)
 
     @pytest.mark.parametrize("samples", [0, -3, 2.5])
     def test_bad_sample_count_is_invalid_argument(self, samples):

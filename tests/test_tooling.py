@@ -23,7 +23,8 @@ def test_benchmark_checkers_reject_corrupt_output():
 
 
 @pytest.mark.parametrize(
-    "workload", ["enumerate-stream", "decide-construct", "sample-mr", "decide-test"]
+    "workload",
+    ["enumerate-stream", "decide-construct", "sample-mr", "decide-test", "sample-estimate"],
 )
 def test_one_benchmark_round_is_correct(workload):
     # One round, each output vetted by the benchmark's own checkers.
