@@ -24,6 +24,7 @@ from .core import (
     LabeledGraph,
     NotGraphical,
     ParseError,
+    _check_labels,
     _check_room,
     _graph_text,
     parse_sequence,
@@ -174,6 +175,8 @@ def _seed(args) -> int:
 
 def _cmd_test(args, raw, out) -> int:
     forbid = args.forbid
+    if forbid is not None:  # refused even where the degrees alone decide
+        _check_labels(len(raw), forbid)
     try:
         d = validate_input_sequence(raw)
     except DegreeTooLarge:

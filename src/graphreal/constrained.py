@@ -11,6 +11,7 @@ from .core import (
     Incomparable,
     InvalidDegree,
     InvalidSet,
+    _check_labels,
     _check_room,
     _Record,
     as_residuals,
@@ -67,7 +68,6 @@ def colex_less(a: AdjacencySet, b: AdjacencySet) -> bool:
 def _star(degs: tuple[int, ...], i: int, x) -> tuple[int, frozenset[int], int]:
     """``(i, X, d_i)`` for focal node i and forbidden set x on ``degs``,
     checked: i and every member of X in 1..n, d_i >= 0, |X| <= n - 1 - d_i."""
-    n = len(degs)
     if isinstance(x, ForbiddenSet):
         star = x
     else:
@@ -78,10 +78,7 @@ def _star(degs: tuple[int, ...], i: int, x) -> tuple[int, frozenset[int], int]:
         star = ForbiddenSet(i, members)
     if star.focal != i:
         raise InvalidSet(f"forbidden set focal {star.focal} != {i}")
-    if not (1 <= i <= n):
-        raise InvalidSet(f"focal {i} outside 1..{n}")
-    if max(star.members, default=0) > n:
-        raise InvalidSet(f"forbidden set {sorted(star.members)} outside 1..{n}")
+    _check_labels(len(degs), star)
     di = degs[star.focal - 1]
     if di < 0:
         raise InvalidDegree(f"focal {i} has negative degree {di}")

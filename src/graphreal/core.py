@@ -225,6 +225,14 @@ class AdjacencySet(_Record):
         return iter(self.members)
 
 
+def _check_labels(n: int, star: ForbiddenSet) -> None:
+    """InvalidSet unless the star's focal node and members are all in 1..n."""
+    if not 1 <= star.focal <= n:
+        raise InvalidSet(f"focal {star.focal} outside 1..{n}")
+    if max(star.members, default=0) > n:
+        raise InvalidSet(f"forbidden set {sorted(star.members)} outside 1..{n}")
+
+
 def _check_room(degs, star: ForbiddenSet) -> None:
     """TooManyForbidden unless the star leaves its focal node i at least d_i
     allowed neighbours: |X| <= n - 1 - d_i.  The focal must be in 1..n."""

@@ -2,12 +2,12 @@
 
 Each level of the construction tree picks the node of largest residual
 degree (smallest label on ties), offers every graphicality-preserving
-adjacency set for it in decreasing colexicographic order, and descends on
-the reduced residuals.  Each labeled graph is produced exactly once.  A set
-qualifies by how many members it takes from each class of equal degree
-alone, so A(d) is derived from these groupings.  One walker, ``_walk``,
-serves enumeration and the weighted sampler; the count and the estimate
-descend the groupings' child multisets and build no labelled graph.
+adjacency set for it in decreasing colex order and descends on the reduced
+residuals, producing each labeled graph once.  A(d) is derived from its
+groupings: how many members a set takes from each class of equal degree.
+They are keyed by ``_key``: entry v counts the nodes of degree v, entry 0 is
+0 and the last entry is nonzero.  ``_walk`` serves enumeration and the
+weighted sampler; the count and the estimate descend the keys alone.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations, groupby, takewhile
+from itertools import combinations, takewhile
 from math import comb, prod
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
 from .core import _Record
-from .constrained import cg_test
+from .constrained import _eg_counts, _residual_counts, cg_test
 from .graphicality import erdos_gallai_test
 
 
@@ -66,24 +66,32 @@ def rightmost_adjacency_set(d) -> AdjacencySet:
     return AdjacencySet(1, tuple(sorted(members)))
 
 
-@lru_cache(maxsize=1 << 14)
-def _groupings(seq: tuple[int, ...]) -> tuple[tuple[tuple, int, tuple], ...]:
-    """The graphicality-preserving groupings of node 1's neighbours.
+def _key(degrees) -> tuple[int, ...]:
+    """``(0, c_1, ..., c_top)``: c_v of ``degrees`` (>= 0) equal v; ``()`` if none."""
+    counts = _residual_counts(degrees)[1:]
+    return (0, *counts) if counts else ()
 
-    ``seq`` must be nonincreasing with positive entries; nodes 2..n fall
-    into classes of equal degree.  A grouping is ``(picks, ways, child)``:
-    ``picks`` holds ``(first position, size, k)`` for each class giving
-    k >= 1 members, ``ways`` = prod C(size, k) counts the adjacency sets
-    with those picks, and ``child`` is the sorted positive multiset all of
-    them leave.
+
+@lru_cache(maxsize=1 << 14)
+def _groupings(key: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple, int, tuple], ...]]:
+    """|A(d)| and the graphicality-preserving groupings of node 1's neighbours.
+
+    ``key`` is the ``_key`` of a nonempty multiset: node 1 has its top
+    degree, and nodes 2..n fall into classes of equal degree, highest
+    first.  A grouping is ``(picks, ways, child)``: ``picks`` holds
+    ``(first position, size, k)`` for each class giving k >= 1 members,
+    ``ways`` = prod C(size, k) counts the adjacency sets with those picks,
+    and ``child`` is the key of the multiset all of them leave.
     """
+    top = len(key) - 1
     classes, first = [], 2  # (degree, first position, size) of nodes 2..n
-    for deg, run in groupby(seq[1:]):
-        classes.append((deg, first, len(list(run))))
-        first += classes[-1][2]
+    for deg in range(top, 0, -1):
+        if size := key[deg] - (deg == top):
+            classes.append((deg, first, size))
+            first += size
     # Choose k class by class, keeping the choices that the classes still to
     # come can complete to d_1 members.
-    room, choices = len(seq) - 1, [((), seq[0])]
+    room, choices = first - 2, [((), top)]
     for _, _, size in classes:
         room -= size
         choices = [
@@ -94,13 +102,18 @@ def _groupings(seq: tuple[int, ...]) -> tuple[tuple[tuple, int, tuple], ...]:
         ]
     out = []
     for ks, _ in choices:
-        child = tuple(x for (deg, _, size), k in zip(classes, ks)
-                      for x in [deg] * (size - k) + [deg - 1] * k if x > 0)
-        if erdos_gallai_test(child).graphical:
+        child = [0] * (top + 1)
+        for (deg, _, size), k in zip(classes, ks):
+            child[deg] += size - k
+            child[deg - 1] += k
+        child[0] = 0
+        while child and not child[-1]:
+            child.pop()
+        if _eg_counts(child):
             picks = tuple((first, size, k)
                           for (_, first, size), k in zip(classes, ks) if k)
-            out.append((picks, prod(comb(size, k) for _, size, k in picks), child))
-    return tuple(out)
+            out.append((picks, prod(comb(size, k) for _, size, k in picks), tuple(child)))
+    return sum(ways for _, ways, _ in out), tuple(out)
 
 
 def _sets_of(picks: tuple) -> Iterator[tuple[int, ...]]:
@@ -145,7 +158,7 @@ def _nth_set(groupings, r: int) -> tuple[int, ...]:
 def all_adjacency_sets(d) -> list[AdjacencySet]:
     """The set A(d) for node 1, ordered colex-decreasing starting at A_R.
     ``d`` must be nonincreasing; nodes of degree 0 are never members."""
-    groupings = _groupings(_focal_sequence(d))
+    _, groupings = _groupings(_key(_focal_sequence(d)))
     return [AdjacencySet(1, m[::-1]) for m in _adjacency_sets(groupings)]
 
 
@@ -173,11 +186,13 @@ def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     edges: list[tuple[int, int]] = []
     # Per level: [focal, labels, later sets, current set, saved residual, size].
     stack: list[list] = []
+    known: dict[tuple[int, ...], tuple] = {}  # sorted view -> _groupings
     while True:
         labels, seq = _sorted_view(residual)
         if labels:
-            groupings = _groupings(seq)
-            size = sum(ways for _, ways, _ in groupings)
+            if (level := known.get(seq)) is None:
+                level = known[seq] = _groupings(_key(seq))
+            size, groupings = level
             sets = (_adjacency_sets(groupings) if pick is None
                     else iter([_nth_set(groupings, pick(size))]))
             focal = labels[0]
@@ -234,21 +249,21 @@ def count_realizations(d) -> CountResult:
     """Exact number of labeled realizations: count(d) is the sum over the
     groupings of node 1's neighbours of ways * count(child).
 
-    The memo key is the sorted multiset of positive residual degrees: the
-    count is invariant under relabeling (any permutation of labels bijects
-    the realization sets), so it depends only on the degree multiset.  The
-    multisets still to count are kept on an explicit stack, so long chains
-    do not hit Python's recursion limit.
+    The memo key is the ``_key`` of the degree multiset, its counts of nodes
+    per degree: the count is invariant under relabeling (any permutation of
+    labels bijects the realization sets), so it depends only on the
+    multiset.  The multisets still to count are kept on an explicit stack,
+    so long chains do not hit Python's recursion limit.
     """
     degs = as_residuals(d)
-    key = tuple(sorted((x for x in degs if x > 0), reverse=True))
-    if not erdos_gallai_test(key).graphical:
+    if not erdos_gallai_test(degs).graphical:
         return CountResult(0, 0, 0)
+    key = _key(degs)
     memo: dict[tuple[int, ...], int] = {(): 1}
     lookups = 0  # references to nonempty children
     stack = [key] if key else []
     while stack:
-        groupings = _groupings(stack[-1])
+        _, groupings = _groupings(stack[-1])
         pending = [child for _, _, child in groupings if child not in memo]
         if pending:
             stack += pending

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .core import ForbiddenSet, InvalidSet, LabeledGraph, OracleTooLarge, as_residuals
-from .core import _Record
+from .core import _check_labels, _Record
 
 _MAX_NODES = 10
 
@@ -33,8 +33,7 @@ class OracleQuery(_Record):
             if not isinstance(forbidden_star, ForbiddenSet):
                 raise InvalidSet(
                     f"forbidden_star {forbidden_star!r} is not a ForbiddenSet")
-            if not all(1 <= v <= n for v in (forbidden_star.focal, *forbidden_star)):
-                raise InvalidSet(f"forbidden star {forbidden_star} outside 1..{n}")
+            _check_labels(n, forbidden_star)
         if fixed_partial is not None:
             if not isinstance(fixed_partial, LabeledGraph):
                 raise InvalidSet(f"fixed_partial {fixed_partial!r} is not a LabeledGraph")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from operator import itemgetter
 
 from .core import (
     InvalidArgument,
@@ -26,7 +25,6 @@ from .graphicality import erdos_gallai_test
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_ways = itemgetter(1)  # of a grouping (picks, ways, child)
 
 
 def _mix64(z: int) -> int:
@@ -44,7 +42,10 @@ class SplitMix64:
 
     @classmethod
     def stream(cls, seed: int, index: int) -> "SplitMix64":
-        seed, index = _integers((seed, index), InvalidArgument)
+        return cls._stream(*_integers((seed, index), InvalidArgument))
+
+    @classmethod
+    def _stream(cls, seed: int, index: int) -> "SplitMix64":  # checked ints
         return cls(_mix64(seed & _MASK) ^ _mix64((index + 1) & _MASK))
 
     def next_u64(self) -> int:
@@ -120,11 +121,11 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
 def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     """Unbiased estimate of the number of realizations: the mean of 1/P(G).
 
-    A draw descends the sorted degree multisets of the construction tree,
-    not labelled residuals: at each level it draws the index of one of the
+    A draw descends degree multisets, kept as counts per degree, not
+    labelled residuals: at each level it draws the index of one of the
     |A(d)| sets, as ``sample_weighted`` does, and moves to the multiset that
-    set leaves.  Both the draws and |A(d)| depend only on the multiset, so
-    each weight equals that of the labelled walk for the same seed.
+    set leaves.  Draws and |A(d)| depend only on the multiset, so each weight
+    equals that of the labelled walk for the same seed.
 
     Each draw uses its own RNG stream, so batches may run concurrently and
     merge associatively.  The standard error is the sample standard
@@ -133,24 +134,23 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     beyond the float range cannot overflow it.
     """
     from fractions import Fraction
-    from .enumeration import _groupings
-    (samples,) = _integers((samples,), InvalidArgument)
+    from .enumeration import _groupings, _key
+    samples, seed = _integers((samples, seed), InvalidArgument)
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     degs = as_residuals(d)
     _check_graphical(degs)
-    root = tuple(sorted((x for x in degs if x > 0), reverse=True))
+    root = _key(degs)
     total = 0
     total_sq = 0
     for i in range(samples):
-        rng = SplitMix64.stream(seed, i)
-        seq, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
-        while seq:
-            groupings = _groupings(seq)
-            size = sum(map(_ways, groupings))
+        rng = SplitMix64._stream(seed, i)
+        key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
+        while key:
+            size, groupings = _groupings(key)
             r = rng.randrange(size) if size > 1 else 0
             w *= size
-            for _, ways, seq in groupings:  # the grouping r falls in
+            for _, ways, key in groupings:  # the grouping r falls in
                 if r < ways:
                     break
                 r -= ways

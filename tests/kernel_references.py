@@ -3,13 +3,16 @@
 ``erdos_gallai_reference`` sums min(k, d_i) afresh for every k,
 ``havel_hakimi_reference`` rebuilds and re-sorts the active list for every
 focal node, ``molloy_reed_reference`` runs the public ``cg_test`` on the
-whole residual list after every connection, and ``estimate_reference``
-weighs each draw by the branch sizes of the labelled tree walk.  The
-library's kernels must agree with them exactly.
+whole residual list after every connection, ``estimate_reference`` weighs
+each draw by the branch sizes of the labelled tree walk, and
+``groupings_reference`` builds each child multiset of A(d) as a sorted
+tuple and runs ``erdos_gallai_test`` on it.  The library's kernels must
+agree with them exactly.
 """
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from graphreal.constrained import cg_test
 from graphreal.core import (
@@ -19,7 +22,7 @@ from graphreal.core import (
     RestartBudgetExceeded,
     as_residuals,
 )
-from graphreal.graphicality import EgReport, NodeSelectionPolicy
+from graphreal.graphicality import EgReport, NodeSelectionPolicy, erdos_gallai_test
 from graphreal.sampling import (
     CountEstimate,
     MrRunStats,
@@ -151,3 +154,31 @@ def estimate_reference(d, samples, seed) -> CountEstimate:
     else:
         stderr = float("inf")
     return CountEstimate(Fraction(total, samples), stderr, samples)
+
+
+def groupings_reference(seq):
+    """The groupings ``(picks, ways, child)`` of node 1 of the nonincreasing
+    positive ``seq``, each child the sorted positive multiset it leaves."""
+    classes, first = [], 2  # (degree, first position, size) of nodes 2..n
+    for deg, run in groupby(seq[1:]):
+        classes.append((deg, first, len(list(run))))
+        first += classes[-1][2]
+    room, choices = len(seq) - 1, [((), seq[0])]
+    for _, _, size in classes:
+        room -= size
+        choices = [
+            (ks + (k,), left - k)
+            for ks, left in choices
+            for k in range(min(size, left) + 1)
+            if left - k <= room
+        ]
+    out = []
+    for ks, _ in choices:
+        child = tuple(x for (deg, _, size), k in zip(classes, ks)
+                      for x in [deg] * (size - k) + [deg - 1] * k if x > 0)
+        if erdos_gallai_test(child).graphical:
+            picks = tuple((first, size, k)
+                          for (_, first, size), k in zip(classes, ks) if k)
+            out.append((picks, math.prod(math.comb(size, k) for _, size, k in picks),
+                        child))
+    return tuple(out)

@@ -62,6 +62,18 @@ class TestTest:
         assert err.startswith("error:")
         assert (code, out, err) == invoke(argv)
 
+    @pytest.mark.parametrize("seq, spec, message", [
+        ("2 2 2 2", "7:2,3", "focal 7 outside 1..4"),
+        ("2 2 2 2", "2:3,9", "forbidden set [3, 9] outside 1..4"),
+        # A degree above n-1 decides not-graphical only for a valid star.
+        ("3 1 1", "9:1", "focal 9 outside 1..3"),
+        ("3 1 1", "2:1,5", "forbidden set [1, 5] outside 1..3"),
+    ])
+    def test_forbid_outside_the_nodes(self, seq, spec, message):
+        for extra in ([], ["--oracle"]):
+            argv = ["test", "-s", seq, "--forbid", spec, *extra]
+            assert invoke(argv) == (2, "", f"error: {message}\n"), extra
+
     def test_forbid_labels_in_input_order(self):
         # Node 3 has degree 2; the graph 1-3, 2-3 avoids the edge 1-2.
         for extra in ([], ["--oracle"]):

@@ -199,6 +199,11 @@ class TestCountRealizations:
         with pytest.raises(InvalidDegree):
             count_realizations([1.9, 1.9])
 
+    def test_negative_degree_raises(self):
+        # [2, 2, 2, -1] used to drop the -1 and count the triangle.
+        with pytest.raises(InvalidDegree):
+            count_realizations([2, 2, 2, -1])
+
     def test_chain_deeper_than_recursion_limit(self):
         # 200 multisets in one chain, with 100 frames to spare.
         with recursion_headroom(100):

@@ -3,9 +3,10 @@
 The Erdos-Gallai test must give the reference's whole report, the
 Havel-Hakimi construction the reference's edge set (or its error type),
 ``cg_test`` and its residual-count kernel the verdict of the explicit
-leftmost-restricted set, reduction and Erdos-Gallai composition, and
+leftmost-restricted set, reduction and Erdos-Gallai composition,
 Molloy-Reed sampling the graphs and statistics of the reference that runs
-``cg_test`` after every connection.
+``cg_test`` after every connection, and the groupings of A(d) on degree
+counts the picks, ways and child multisets of the sorted-tuple reference.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 from helpers import HH_GAP_SEQUENCE, exhaustive_family, graphical_family
 from kernel_references import (
     erdos_gallai_reference,
+    groupings_reference,
     havel_hakimi_reference,
     molloy_reed_reference,
 )
@@ -29,6 +31,7 @@ from graphreal.constrained import (
     reduce_by_set,
 )
 from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
+from graphreal.enumeration import _groupings, _key, count_realizations
 from graphreal.graphicality import (
     NodeSelectionPolicy,
     erdos_gallai_test,
@@ -242,6 +245,51 @@ def mr_views():
     palindrome, and the Havel-Hakimi gap sequence."""
     family = graphical_family(6)
     return [*family, *(s[::-1] for s in family if s != s[::-1]), HH_GAP_SEQUENCE]
+
+
+def seeded_sparse_sequences():
+    """50 graphical nonincreasing positive sequences with n <= 40 and
+    degrees <= 8, drawn from a fixed seed."""
+    rng = random.Random(10)
+    out = []
+    while len(out) < 50:
+        n = rng.randint(2, 40)
+        seq = sorted((rng.randint(1, min(8, n - 1)) for _ in range(n)), reverse=True)
+        if erdos_gallai_test(seq).graphical:  # an odd sum is not
+            out.append(tuple(seq))
+    return out
+
+
+def multiset(key):
+    """The nonincreasing multiset whose key is ``key``."""
+    return tuple(v for v in range(len(key) - 1, 0, -1) for _ in range(key[v]))
+
+
+class TestGroupingsKernel:
+    def test_same_as_sorted_tuple_reference(self):
+        for seq in [*graphical_family(7), *seeded_sparse_sequences()]:
+            want = groupings_reference(seq)
+            size, groupings = _groupings(_key(seq))
+            got = [(picks, ways, multiset(child)) for picks, ways, child in groupings]
+            assert got == list(want), seq
+            assert size == sum(ways for _, ways, _ in want), seq
+
+    def test_key_ignores_zeros_and_order(self):
+        assert _key((0, 2, 1, 2, 0)) == (0, 1, 2)
+        assert _key((0, 0)) == _key(()) == ()
+
+    # memo_entries and memo_hits as counted on n-long sorted-tuple keys.
+    @pytest.mark.parametrize("seq, entries, hits", [
+        ((3,) * 16, 101, 285),
+        ((4,) * 13, 135, 451),
+        ((5,) * 12, 140, 360),
+        ((4,) * 8 + (3,) * 4, 134, 451),
+        ((4,) * 9 + (3,) * 4, 182, 754),
+        ((4,) * 10 + (3,) * 4, 239, 1162),
+    ])
+    def test_count_memo_figures(self, seq, entries, hits):
+        result = count_realizations(seq)
+        assert (result.memo_entries, result.memo_hits) == (entries, hits)
 
 
 class TestMolloyReedKernel:

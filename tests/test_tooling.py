@@ -24,7 +24,8 @@ def test_benchmark_checkers_reject_corrupt_output():
 
 @pytest.mark.parametrize(
     "workload",
-    ["enumerate-stream", "decide-construct", "sample-mr", "decide-test", "sample-estimate"],
+    ["enumerate-stream", "count-exact", "sample-weighted", "decide-construct", "sample-mr",
+     "decide-test", "sample-estimate"],
 )
 def test_one_benchmark_round_is_correct(workload):
     # One round, each output vetted by the benchmark's own checkers.
@@ -64,3 +65,17 @@ def test_traced_wrappers_reach_imports_made_per_subcommand():
     metrics = result["metrics"]
     assert metrics["graphicality.eg_calls"]["value"] > 0, proc.stdout
     assert metrics["constrained.cg_calls"]["value"] > 0, proc.stdout
+
+
+def test_traced_count_round_times_adjacency_sets():
+    # A traced count-exact round also times all_adjacency_sets on the
+    # sorted inputs through traced.py --adjacency-sets.
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "count-exact", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=RUN.parent.parent,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+    assert result["metrics"]["enumeration.adjacency_sets_s"]["value"] > 0, proc.stdout
