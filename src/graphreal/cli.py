@@ -13,6 +13,7 @@ no more of the library than it needs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -26,7 +27,6 @@ from .core import (
     ParseError,
     _check_labels,
     _check_room,
-    _graph_text,
     parse_sequence,
     validate_input_sequence,
 )
@@ -144,27 +144,45 @@ def _forbid_spec(spec: str) -> ForbiddenSet:
         raise argparse.ArgumentTypeError(f"bad spec {spec!r}: {exc}") from exc
 
 
-def _relabelled(g: LabeledGraph, labels) -> list[tuple[int, int]]:
-    """The edges of ``g`` with each node v renamed ``labels[v]``, as sorted
-    (min, max) pairs."""
-    edges = [(a, b) if (a := labels[u]) < (b := labels[v]) else (b, a)
-             for u, v in g.edges]
-    edges.sort()
-    return edges
+class _Emitter(contextlib.AbstractContextManager):
+    """Writes graphs on 1..n to ``out`` in blocks of at least 64 KiB: each the
+    text of ``format_graph`` or its JSON line (README), a newline and ``tail``.
+    ``graph`` takes a graph on the labels of ``d``, ``edges`` sorted (min, max)
+    pairs of input positions; ``text`` caches edge text past a block's first graph.
+    """
 
+    def __init__(self, out, n: int, d, fmt: str):
+        self.out, self.names, self.text = out, (0, *d.permutation), {}
+        self.json = fmt == "jsonlines"
+        self.head = '{"n":%d,"edges":[' % n if self.json else f"graph n={n} m="
+        self.parts, self.size = [], 0
 
-def _graph_record(n: int, edges: list[tuple[int, int]], fmt: str) -> str:
-    """One graph on 1..n with sorted canonical ``edges`` as output text,
-    ending in a newline: a text block, or the JSON line that
-    ``json.dumps({"n": n, "edges": edges}, separators=(",", ":"))`` gives."""
-    if fmt == "jsonlines":
-        return '{"n":%d,"edges":[%s]}\n' % (n, ",".join([f"[{u},{v}]" for u, v in edges]))
-    return _graph_text(n, edges) + "\n"
+    def flush(self, *exc_info):
+        if self.parts:
+            self.out.write("".join(self.parts))
+            self.parts, self.size = [], 0
 
+    __exit__ = flush
 
-def _input_labels(d) -> tuple[int, ...]:
-    """Input position of each node of ``d`` by label, at index = label."""
-    return (0, *d.permutation)
+    def graph(self, g: LabeledGraph, tail: str) -> None:
+        names = self.names
+        self.edges(sorted((a, b) if (a := names[u]) < (b := names[v]) else (b, a)
+                          for u, v in g.edges), tail)
+
+    def edges(self, edges: list, tail: str) -> None:
+        if self.size >= 1 << 16:  # one pipe buffer of edge text; written here,
+            self.flush()  # so no graph's lines are held while a block is joined
+        try:
+            lines = list(map(self.text.__getitem__, edges))
+        except KeyError:  # an edge not seen before: make the text of each
+            lines = ([f"[{u},{v}]" for u, v in edges] if self.json
+                     else [f"{u} {v}\n" for u, v in edges])
+            if self.parts:
+                self.text.update(zip(edges, lines))
+        # A record's head, edge text and tail are joined only with their block.
+        self.parts += ((self.head, ",".join(lines), "]}\n" + tail) if self.json
+                       else (f"{self.head}{len(lines)}\n", "".join(lines), tail))
+        self.size += len(self.parts[-2])
 
 
 def _seed(args) -> int:
@@ -202,8 +220,8 @@ def _cmd_test(args, raw, out) -> int:
 
 def _cmd_construct(args, raw, out) -> int:
     d = validate_input_sequence(raw)
-    g = havel_hakimi_construct(d, args.policy)
-    out.write(_graph_record(len(raw), _relabelled(g, _input_labels(d)), "text") + "\n")
+    with _Emitter(out, len(raw), d, "text") as emitter:
+        emitter.graph(havel_hakimi_construct(d, args.policy), "\n")
     return 0
 
 
@@ -212,17 +230,19 @@ def _cmd_enumerate(args, raw, out) -> int:
         d = validate_input_sequence(raw)
     except DegreeTooLarge:
         return 0  # non-graphical: empty stream
-    if args.oracle:
-        from .oracle import OracleQuery, oracle_enumerate
-        graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
-                        key=LabeledGraph.canonical_edges)
-    else:
-        from .enumeration import enumerate_all
-        graphs = enumerate_all(d)
-    labels, n, fmt = _input_labels(d), len(raw), args.format
-    separator = "" if fmt == "jsonlines" else "\n"
-    for g in itertools.islice(graphs, args.limit):
-        out.write(_graph_record(n, _relabelled(g, labels), fmt) + separator)
+    with _Emitter(out, len(raw), d, args.format) as emitter:
+        separator = "" if emitter.json else "\n"
+        if args.oracle:
+            from .oracle import OracleQuery, oracle_enumerate
+            graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
+                            key=LabeledGraph.canonical_edges)
+            for g in itertools.islice(graphs, args.limit):
+                emitter.graph(g, separator)
+        else:
+            from .enumeration import _walk
+            leaves = _walk(d.degrees, names=emitter.names)
+            for edges, _ in itertools.islice(leaves, args.limit):
+                emitter.edges(sorted(edges), separator)
     return 0
 
 
@@ -248,18 +268,17 @@ def _cmd_sample(args, raw, out) -> int:
     from .sampling import molloy_reed_sample, sample_weighted
     seed = _seed(args)
     d = validate_input_sequence(raw)
-    labels = _input_labels(d)
-    for k in range(args.samples):
-        if args.method == "weighted":
-            sample = sample_weighted(d, seed, stream=k)
-            g, p = sample.graph, sample.probability
-            footer = f"p={_decimal(p.numerator)}/{_decimal(p.denominator)}"
-        else:
-            g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
-            footer = (f"restarts={stats.restarts} "
-                      f"cg_rejects={stats.rejection_causes['cg_reject']}")
-        record = _graph_record(len(raw), _relabelled(g, labels), args.format)
-        out.write(record + footer + "\n\n")
+    with _Emitter(out, len(raw), d, args.format) as emitter:
+        for k in range(args.samples):
+            if args.method == "weighted":
+                sample = sample_weighted(d, seed, stream=k)
+                g, p = sample.graph, sample.probability
+                footer = f"p={_decimal(p.numerator)}/{_decimal(p.denominator)}"
+            else:
+                g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
+                footer = (f"restarts={stats.restarts} "
+                          f"cg_rejects={stats.rejection_causes['cg_reject']}")
+            emitter.graph(g, footer + "\n\n")
     return 0
 
 

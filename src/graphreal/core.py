@@ -353,12 +353,8 @@ def parse_sequences(text: str) -> list[list[int]]:
 
 
 def format_graph(g: LabeledGraph) -> str:
-    return _graph_text(g.n, g.canonical_edges())
-
-
-def _graph_text(n: int, edges: Sequence[tuple[int, int]]) -> str:
-    """The text block of a graph on 1..n whose ``edges`` are sorted, u < v."""
-    return "\n".join([f"graph n={n} m={len(edges)}", *[f"{u} {v}" for u, v in edges]])
+    edges = g.canonical_edges()
+    return "\n".join([f"graph n={g.n} m={len(edges)}", *[f"{u} {v}" for u, v in edges]])
 
 
 def parse_graphs(text: str) -> list[LabeledGraph]:

@@ -170,26 +170,30 @@ def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return [v + 1 for v in order[:len(degs)]], degs
 
 
-def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """Depth-first walk of the construction tree below the residuals ``degs``.
 
-    Yields ``(edges, branch_sizes)`` at each leaf, where ``branch_sizes``
-    holds the number of adjacency sets offered at each level of the path.
-    With ``pick`` None every set is taken in turn, in decreasing colex
-    order; otherwise ``pick(k)`` draws an index into the ``k`` sets at each
-    level, which ``_nth_set`` maps to a set without building A(d), and the
-    walk ends at the single leaf it reaches: ``sample_weighted`` uses this
-    mode, since it needs the edges.  The tree is walked with an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
+    Yields ``(edges, branch_sizes)`` at each leaf, ``branch_sizes`` holding
+    the number of adjacency sets offered at each level of the path; a
+    non-graphical ``degs`` yields nothing.  With ``pick`` None every set is
+    taken in turn, in decreasing colex order; otherwise ``pick(k)`` draws an
+    index into the ``k`` sets of each level, which ``_nth_set`` maps to a set
+    without building A(d), down to one leaf.  Each edge is pushed once per
+    tree node as a (min, max) pair of ``names[v]``; names leave the order as
+    it is.  A leaf has no stub left.  The explicit stack has no depth limit.
     """
+    if not erdos_gallai_test(degs).graphical:
+        return
     residual = list(degs)
+    names = range(len(residual) + 1) if names is None else names
+    m = sum(residual) // 2  # a leaf has m edges
     edges: list[tuple[int, int]] = []
     # Per level: [focal, labels, later sets, current set, saved residual, size].
     stack: list[list] = []
     known: dict[tuple[int, ...], tuple] = {}  # sorted view -> _groupings
     while True:
-        labels, seq = _sorted_view(residual)
-        if labels:
+        if len(edges) < m:
+            labels, seq = _sorted_view(residual)
             if (level := known.get(seq)) is None:
                 level = known[seq] = _groupings(_key(seq))
             size, groupings = level
@@ -198,7 +202,7 @@ def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
             focal = labels[0]
             stack.append([focal, labels, sets, next(sets), residual[focal - 1], size])
         else:
-            yield tuple(edges), tuple(level[5] for level in stack)
+            yield tuple(edges), tuple([level[5] for level in stack])
             # Undo levels until one has a next set, then move to it.
             while stack:
                 level = stack[-1]
@@ -214,10 +218,11 @@ def _walk(degs, pick=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
             else:
                 return
         focal, labels, _, current = stack[-1][:4]
+        a = names[focal]
         for p in current:
             v = labels[p - 1]
             residual[v - 1] -= 1
-            edges.append((focal, v) if focal < v else (v, focal))
+            edges.append((a, b) if a < (b := names[v]) else (b, a))
         residual[focal - 1] = 0
 
 
@@ -228,8 +233,6 @@ def enumerate_all(d) -> Iterator[LabeledGraph]:
     first, adjacency sets in decreasing colex order at every level.
     """
     degs = as_residuals(d)
-    if not erdos_gallai_test(degs).graphical:
-        return
     for edges, _ in _walk(degs):
         yield LabeledGraph._trusted(len(degs), edges)
 

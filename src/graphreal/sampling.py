@@ -53,10 +53,13 @@ class SplitMix64:
         return _mix64(self._state)
 
     def randrange(self, n: int) -> int:
-        # Rejection sampling keeps the draw exactly uniform on [0, n).
-        limit = (1 << 64) - ((1 << 64) % n)
+        # Exactly uniform by rejection; a try joins ceil(bits / 64) words above 2**64.
+        words = 1 if n <= 1 << 64 else -(-(n - 1).bit_length() // 64)
+        limit = (1 << 64 * words) - ((1 << 64 * words) % n)
         while True:
             u = self.next_u64()
+            for _ in range(1, words):
+                u = u << 64 | self.next_u64()
             if u < limit:
                 return u % n
 
@@ -189,8 +192,6 @@ def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
     from fractions import Fraction
     from .enumeration import _walk
     degs = as_residuals(d)
-    if not erdos_gallai_test(degs).graphical:
-        return
     for edges, branch_sizes in _walk(degs):
         yield LabeledGraph._trusted(len(degs), edges), Fraction(1, math.prod(branch_sizes))
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from graphreal.core import (
 )
 from graphreal.enumeration import enumerate_all
 from graphreal.graphicality import NodeSelectionPolicy, havel_hakimi_construct
+from graphreal.oracle import OracleQuery, oracle_enumerate
 from graphreal.sampling import molloy_reed_sample, sample_weighted
 
 
@@ -377,6 +379,39 @@ def test_estimate_beyond_float_range():
     assert proc.stdout.endswith(" stderr=0.000000 exact=unknown\n")
 
 
+def test_estimate_above_2_64_sets_at_one_level():
+    # Node 1 of degree 34 picks 34 of 68 ones: C(68, 34) > 2**64 sets, drawn
+    # from two 64-bit words.  Every path has the same weight, so the estimate
+    # is the exact count.
+    assert math.comb(68, 34) > 2**64
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphreal", "estimate", "-s", " ".join(["34"] + ["1"] * 68),
+         "--samples", "2", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    count = math.comb(68, 34) * math.prod(range(1, 34, 2))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"estimate={float(count):.6f} stderr=0.000000 exact=unknown\n"
+
+
+@functools.cache
+def emitted(text, fmt, oracle=False):
+    """The records ``enumerate -s text`` writes, made from the public API:
+    ``enumerate_all``, or the oracle's graphs in order of their edges."""
+    raw = [int(x) for x in text.split()]
+    d = validate_input_sequence(raw)
+    if oracle:
+        graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
+                        key=LabeledGraph.canonical_edges)
+    else:
+        graphs = enumerate_all(d)
+    separator = "\n" if fmt == "text" else ""
+    return tuple(
+        TestEmittedBytes.record(TestEmittedBytes.in_input_labels(g, raw), fmt) + separator
+        for g in graphs
+    )
+
+
 class TestEmittedBytes:
     """Stdout against text made here from the public API: the library's
     graph, relabelled to input positions, then ``format_graph`` or
@@ -410,6 +445,57 @@ class TestEmittedBytes:
         argv = ["enumerate", "-s", text, "--format", fmt]
         argv += ["--limit", str(limit)] if limit is not None else []
         assert invoke(argv) == (0, want, "")
+
+    # 9,308 graphs: several blocks of output in either format.
+    MANY = "4 2 4 1 3 4 2 3 1"
+    BLOCK = 1 << 16
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    @pytest.mark.parametrize("limit", [None, 2500, 0])
+    def test_enumerate_many_blocks(self, fmt, limit):
+        # 2,500 graphs end inside the third block.
+        records = emitted(self.MANY, fmt)
+        assert len(records) == 9308
+        assert len("".join(records)) > 8 * self.BLOCK
+        argv = ["enumerate", "-s", self.MANY, "--format", fmt]
+        argv += ["--limit", str(limit)] if limit is not None else []
+        assert invoke(argv) == (0, "".join(records[:limit]), "")
+
+    @pytest.mark.parametrize("text", [*INPUTS, MANY])
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    def test_enumerate_oracle(self, text, fmt):
+        want = "".join(emitted(text, fmt, oracle=True))
+        assert invoke(["enumerate", "-s", text, "--format", fmt, "--oracle"]) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_enumerate_buffered_or_not(self, fmt, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphreal", "enumerate", "-s", self.MANY, "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "".join(emitted(self.MANY, fmt)), "")
+
+    def test_enumerate_writes_blocks(self):
+        # Whole records are joined into blocks of at least 64 KiB; the last
+        # block may be shorter.
+        class Counted(StringIO):
+            writes = 0
+
+            def write(self, text):
+                Counted.writes += 1
+                return super().write(text)
+
+        out = Counted()
+        assert run(["enumerate", "-s", self.MANY], out=out, err=StringIO()) == 0
+        want = "".join(emitted(self.MANY, "text"))
+        assert out.getvalue() == want
+        assert 1 < Counted.writes <= -(-len(want) // self.BLOCK) + 1
 
     @pytest.mark.parametrize("text", INPUTS)
     @pytest.mark.parametrize("policy", NodeSelectionPolicy)

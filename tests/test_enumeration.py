@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from graphreal import constrained, enumeration, sampling
 from graphreal.core import InvalidDegree, NotGraphical, graph_degree_sequence
 from graphreal.constrained import cg_test, colex_less
 from graphreal.enumeration import (
+    _walk,
     all_adjacency_sets,
     count_realizations,
     enumerate_all,
@@ -178,6 +180,23 @@ class TestEnumerateAll:
             for g in enumerate_all(HH_GAP_SEQUENCE)
         )
         assert found
+
+
+def test_walk_with_names_relabels_each_leaf():
+    # Names given to the walk rename the edges of every leaf as a relabelling
+    # afterwards would, and change neither the order of the leaves, nor the
+    # order of the edges, nor the branch sizes.
+    rng = random.Random(11)
+    for seq in graphical_family(max_n=7):
+        positions = list(range(1, len(seq) + 1))
+        rng.shuffle(positions)
+        names = (0, *positions)
+        want = [
+            (tuple((a, b) if (a := names[u]) < (b := names[v]) else (b, a)
+                   for u, v in edges), sizes)
+            for edges, sizes in _walk(seq)
+        ]
+        assert list(_walk(seq, names=names)) == want, seq
 
 
 class TestCountRealizations:

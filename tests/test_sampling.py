@@ -48,6 +48,46 @@ class TestSplitMix64:
         draws = [rng.randrange(5) for _ in range(1000)]
         assert set(draws) == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("n", [2**64 + 1, 3 * 2**64, 2**128, 2**128 + 1, 10**40])
+    def test_randrange_above_64_bits(self, n):
+        # A try joins ceil(bits / 64) words, the first drawn the highest, and
+        # is rejected at or above the largest multiple of n below 2**(64 * words).
+        rng, words = bounded(SplitMix64.stream(7, 0)), SplitMix64.stream(7, 0)
+        k = -(-(n - 1).bit_length() // 64)
+        limit = 2 ** (64 * k) // n * n
+        for _ in range(50):
+            while True:
+                u = 0
+                for _ in range(k):
+                    u = u << 64 | words.next_u64()
+                if u < limit:
+                    break
+            assert rng.randrange(n) == u % n < n
+
+    def test_randrange_up_to_64_bits_draws_one_word(self):
+        for n in [1, 2, 5, 2**63 + 1, 2**64 - 1, 2**64]:
+            rng, words = bounded(SplitMix64.stream(3, 1)), SplitMix64.stream(3, 1)
+            limit = 2**64 // n * n
+            for _ in range(20):
+                while (u := words.next_u64()) >= limit:
+                    pass
+                assert rng.randrange(n) == u % n
+
+
+def bounded(rng, words=10_000):
+    """``rng`` with at most ``words`` words left to draw, so that a draw
+    that never returns fails instead of hanging."""
+    draw, left = rng.next_u64, [words]
+
+    def next_u64():
+        left[0] -= 1
+        if left[0] < 0:
+            raise AssertionError(f"more than {words} words drawn")
+        return draw()
+
+    rng.next_u64 = next_u64
+    return rng
+
 
 class TestSampleWeighted:
     def test_four_cycle_probability_third(self):
