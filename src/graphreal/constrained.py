@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
-
 from .core import (
     AdjacencySet,
     ForbiddenSet,
@@ -16,6 +13,7 @@ from .core import (
     _Record,
     as_residuals,
 )
+from .graphicality import _eg_counts, _residual_counts
 
 
 class ReducedSequence(_Record):
@@ -109,28 +107,21 @@ def cg_test(d, i: int, x=frozenset()) -> bool:
 
     True iff the sequence reduced by the leftmost restricted set of i is
     graphical: no residual is negative and the Erdos-Gallai test passes.
-    Only the reduced multiset matters, so the verdict comes from the counts
-    of nodes per degree, with no set built.
+    Only the reduced multiset matters, so ``graphicality._eg_counts`` decides
+    on the counts of nodes per degree, with no set built.  An odd sum or a
+    degree > n - 1 is False at once.
     """
     degs = as_residuals(d)
     i, forbidden, _ = _star(degs, i, x)
-    if min(degs) < 0:  # another node's; _star refuses a negative focal
+    if min(degs) < 0 or max(degs) >= len(degs) or sum(degs) % 2:  # _star checks d_i
         return False
     return _cg_counts(_residual_counts(degs), degs, i, forbidden)
 
 
-def _residual_counts(residual) -> list[int]:
-    """``counts[v]``: how many of the nonnegative ``residual`` equal v."""
-    counts = [0] * (max(residual, default=0) + 1)
-    for v in residual:
-        counts[v] += 1
-    return counts
-
-
 def _cg_counts(counts, residual, i: int, neighbours) -> bool:
     """The CG verdict for node i with forbidden set ``neighbours``, where
-    ``residual[j - 1]`` is node j's residual degree (all of them >= 0) and
-    ``counts[v]`` the number of nodes whose residual is v.
+    ``residual[j - 1]`` is node j's residual degree (all >= 0, even sum)
+    and ``counts[v]`` the number of nodes whose residual is v.
 
     Node i and its neighbours leave the counts, one stub each goes to the
     r_i highest remaining residuals, and the neighbours come back.  False
@@ -158,33 +149,4 @@ def _cg_counts(counts, residual, i: int, neighbours) -> bool:
         c[v - 1] += t
     for j in neighbours:
         c[residual[j - 1]] += 1
-    return _eg_counts(c)
-
-
-def _eg_counts(c) -> bool:
-    """Erdos-Gallai on the multiset with ``c[v]`` members of value v >= 0.
-
-    In nonincreasing order d, the inequality needs checking only at the
-    ends of blocks of equal values (Tripathi & Vijay, "A note on a theorem
-    of Erdos & Gallai", 2003), and only up to the largest k with d_k >= k,
-    the cutoff of ``erdos_gallai_test``.  Up to there, each member past
-    position k adds min(k, d_j) = k unless it is < k, so with m members in
-    all the right-hand side is k(m-1) - k*below[k] + below_sum[k], where
-    ``below[t]`` and ``below_sum[t]`` count and sum the members < t.
-    """
-    below = list(accumulate(c, initial=0))
-    below_sum = list(accumulate(map(mul, range(len(c)), c), initial=0))
-    if below_sum[-1] % 2:
-        return False
-    m = below[-1]
-    k = lhs = 0
-    v = len(c) - 1
-    while v > k:
-        if c[v]:
-            x = min(c[v], v - k)  # a block cut short ends at the cutoff
-            k += x
-            lhs += v * x
-            if lhs > k * (m - 1 - below[k]) + below_sum[k]:
-                return False
-        v -= 1
-    return True
+    return not _eg_counts(c)

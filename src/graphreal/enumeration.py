@@ -20,8 +20,8 @@ from math import comb, prod
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
 from .core import _Record
-from .constrained import _eg_counts, _residual_counts, cg_test
-from .graphicality import erdos_gallai_test
+from .constrained import cg_test
+from .graphicality import _eg_counts, _residual_counts, erdos_gallai_test
 
 
 class CountResult(_Record):
@@ -109,7 +109,7 @@ def _groupings(key: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple, int, tuple
         child[0] = 0
         while child and not child[-1]:
             child.pop()
-        if _eg_counts(child):
+        if not _eg_counts(child):  # the sum of child is even
             picks = tuple((first, size, k)
                           for (_, first, size), k in zip(classes, ks) if k)
             out.append((picks, prod(comb(size, k) for _, size, k in picks), tuple(child)))

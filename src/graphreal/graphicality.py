@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from itertools import accumulate
+from operator import mul
 
 from .core import (
     DegreeSequence,
@@ -39,49 +40,70 @@ class NodeSelectionPolicy(enum.Enum):
 def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
     """Decide graphicality of a degree sequence given in any order.
 
-    The entries are sorted nonincreasingly first, and ``first_violated_k``
-    and ``s_bound`` refer to that sorted order.  By default only prefixes
-    k = 1..s are checked, where s is the largest index with d_s >= s;
-    ``check_all_k`` forces k = 1..n instead (used by the cutoff-soundness
-    tests).  The empty sequence is graphical; a negative entry raises
-    InvalidDegree.
-
-    After the sort each k costs O(1) (Ivanyi, Lucz, Mori & Soter, "Linear
-    Erdos-Gallai test"): with w = #{i : d_i >= k}, the right-hand side
-    k(k-1) + sum_{i>k} min(k, d_i) is k(k-1) + k*max(0, w-k) + S[max(w, k)],
-    where S[j] = d_{j+1} + ... + d_n, and w only moves down as k grows.
+    ``first_violated_k`` and ``s_bound`` refer to the nonincreasing order;
+    only k = 1..s are checked, s the largest index with d_s >= s, unless
+    ``check_all_k`` forces k = 1..n (for the cutoff-soundness tests).  The
+    empty sequence is graphical; a negative entry raises InvalidDegree.
+    ``_eg_counts`` decides in O(n) on the counts per degree, clamped to n.
     """
-    degs = sorted(as_residuals(d), reverse=True)
+    degs = as_residuals(d)
     n = len(degs)
-    if degs and degs[-1] < 0:
-        raise InvalidDegree(f"negative degree {degs[-1]}")
+    if degs and min(degs) < 0:
+        raise InvalidDegree(f"negative degree {min(degs)}")
     parity_ok = sum(degs) % 2 == 0
-    if check_all_k:
-        # k = n is needed when d_1 > n-1; for k beyond the cutoff the
-        # inequality holds automatically on sequences with d_1 <= n-1.
-        s = n
-    else:
-        s = 0
-        while s < n and degs[s] >= s + 1:
-            s += 1
-    suffix = list(accumulate(reversed(degs), initial=0))
-    suffix.reverse()  # suffix[j] = S[j]
-    first_violated = None
-    prefix = 0
-    w = n
-    for k in range(1, s + 1):
-        prefix += degs[k - 1]
-        while w and degs[w - 1] < k:
-            w -= 1
-        if w > k:
-            bound = k * (k - 1) + k * (w - k) + suffix[w]
+    counts = _residual_counts(degs if max(degs, default=0) < n else
+                              [min(x, n) for x in degs])  # >= n fails at k = 1
+    first_violated = _eg_counts(counts, check_all_k) or None
+    at_least = zip(range(len(counts) - 1, 0, -1), accumulate(reversed(counts)))
+    s = n if check_all_k else next((v for v, w in at_least if w >= v), 0)
+    return EgReport(parity_ok and first_violated is None, parity_ok, first_violated, s)
+
+
+def _residual_counts(residual) -> list[int]:
+    """``counts[v]``: how many of the nonnegative ``residual`` equal v."""
+    counts = [0] * (max(residual, default=0) + 1)
+    for v in residual:
+        counts[v] += 1
+    return counts
+
+
+def _eg_counts(c, all_k: bool = False) -> int:
+    """The first k where the Erdos-Gallai inequality fails on the multiset
+    with ``c[v]`` members of value v >= 0, or 0; parity is the caller's.
+
+    In nonincreasing order d, only k up to the cutoff, the largest k with
+    d_k >= k (``all_k`` goes on to n), and only the ends of blocks of equal
+    values need checking (Tripathi & Vijay, "A note on a theorem of Erdos &
+    Gallai", 2003): in a block lhs - rhs is convex up to the cutoff and falls
+    past it, so only a block whose end fails is walked again one k at a time.
+    Up to the cutoff each member past position k adds k unless it is < k, so
+    the right-hand side is k(m-1-below[k]) + below_sum[k], with ``below[t]``
+    and ``below_sum[t]`` the count and sum of the members < t; past it, every
+    later member is < k, so it is k(k-1) + (sum - prefix).
+    """
+    below = list(accumulate(c, initial=0))
+    below_sum = list(accumulate(map(mul, range(len(c)), c), initial=0))
+    m, v = below[-1], len(c)
+    k = lhs = left = 0  # left: members of value v not yet placed
+    scan = False  # a block end failed: walk that block again one k at a time
+    while left or v:
+        if not left:
+            v -= 1
+            left = c[v]
+            continue
+        if v <= k and not all_k:  # past the cutoff
+            return 0
+        # A block is split where it crosses the cutoff.
+        x = 1 if scan else min(left, v - k) if v > k else left
+        j, prefix = k + x, lhs + v * x
+        if prefix > (j * (m - 1 - below[j]) + below_sum[j] if v >= j
+                     else j * (j - 1) + below_sum[-1] - prefix):
+            if x == 1:
+                return j
+            scan = True
         else:
-            bound = k * (k - 1) + suffix[k]
-        if prefix > bound:
-            first_violated = k
-            break
-    graphical = parity_ok and first_violated is None
-    return EgReport(graphical, parity_ok, first_violated, s)
+            k, lhs, left = j, prefix, left - x
+    return 0
 
 
 def havel_hakimi_reduce(d) -> DegreeSequence:
@@ -129,6 +151,8 @@ def havel_hakimi_construct(
         raise InvalidDegree(f"negative degree {min(degs)}")
     if degs and degs[0] > n - 1:
         raise DegreeTooLarge(f"degree {degs[0]} exceeds n-1 = {n - 1}")
+    if degs and max(degs) > n - 1:  # before the buckets are sized by it
+        raise NotGraphical(f"{list(degs)} is not graphical")
     residual = list(degs)
     buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
     for v, r in enumerate(degs, start=1):

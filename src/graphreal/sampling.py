@@ -20,8 +20,8 @@ from .core import (
     _Record,
     as_residuals,
 )
-from .constrained import _cg_counts, _residual_counts
-from .graphicality import erdos_gallai_test
+from .constrained import _cg_counts
+from .graphicality import _residual_counts, erdos_gallai_test
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,11 +96,13 @@ def _check_graphical(degs: tuple[int, ...]) -> None:
 
 def _draw(degs, rng: SplitMix64):
     """``(edges, branch_sizes)`` of one root-to-leaf path of the tree,
-    uniform over the adjacency sets at each level.  A level with a single
-    set draws nothing from ``rng``.
+    uniform over the adjacency sets at each level; NotGraphical if there is
+    none.  A level with a single set draws nothing from ``rng``.
     """
     from .enumeration import _walk
-    return next(_walk(degs, lambda k: rng.randrange(k) if k > 1 else 0))
+    for leaf in _walk(degs, lambda k: rng.randrange(k) if k > 1 else 0):
+        return leaf
+    raise NotGraphical(f"{list(degs)} is not graphical")
 
 
 def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
@@ -112,7 +114,6 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     """
     from fractions import Fraction
     degs = as_residuals(d)
-    _check_graphical(degs)
     edges, branch_sizes = _draw(degs, SplitMix64.stream(seed, stream))
     return RealizationSample(
         LabeledGraph._trusted(len(degs), edges),

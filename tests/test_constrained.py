@@ -129,6 +129,11 @@ class TestCgTest:
             expected = erdos_gallai_test(havel_hakimi_reduce(seq)).graphical
             assert cg_test(seq, 1, frozenset()) == expected, seq
 
+    def test_degree_above_n_minus_1_is_false(self):
+        # No simple graph has one; the counts must not be sized by it.
+        for d in ((10**12, 1, 1), (10**7, 1, 1), (1, 1, 10**12)):
+            assert cg_test(d, 2) is False, d
+
     def test_propagates_too_many_forbidden(self):
         with pytest.raises(TooManyForbidden):
             cg_test((2, 2, 2, 2), 1, {2, 3})

@@ -1,8 +1,9 @@
 """The fast graphicality kernels against their literal references.
 
-The Erdos-Gallai test must give the reference's whole report, the
-Havel-Hakimi construction the reference's edge set (or its error type),
-``cg_test`` and its residual-count kernel the verdict of the explicit
+The Erdos-Gallai test must give the reference's whole report and its kernel
+on degree counts the reference's first violated k, the Havel-Hakimi
+construction the reference's edge set (or its error type), ``cg_test`` and
+its residual-count kernel the verdict of the explicit
 leftmost-restricted set, reduction and Erdos-Gallai composition,
 Molloy-Reed sampling the graphs and statistics of the reference that runs
 ``cg_test`` after every connection, and the groupings of A(d) on degree
@@ -23,17 +24,13 @@ from kernel_references import (
 )
 
 from graphreal import sampling
-from graphreal.constrained import (
-    _eg_counts,
-    _residual_counts,
-    cg_test,
-    leftmost_restricted,
-    reduce_by_set,
-)
+from graphreal.constrained import cg_test, leftmost_restricted, reduce_by_set
 from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
 from graphreal.enumeration import _groupings, _key, count_realizations
 from graphreal.graphicality import (
     NodeSelectionPolicy,
+    _eg_counts,
+    _residual_counts,
     erdos_gallai_test,
     havel_hakimi_construct,
 )
@@ -85,6 +82,21 @@ def large_sequences():
     return out
 
 
+def small_seeded_sequences():
+    """2,000 seeded sequences in any order with n <= 40 and degrees up to
+    60, zeros included; one in five has a degree of 10**18."""
+    rng = random.Random(40)
+    out = []
+    for t in range(2000):
+        n = rng.randint(1, 40)
+        top = rng.choice((3, 10, 25, 60))
+        seq = [rng.randint(0, top) for _ in range(n)]
+        if t % 5 == 0:
+            seq[rng.randrange(n)] = 10**18
+        out.append(seq)
+    return out
+
+
 class TestErdosGallaiKernel:
     @pytest.mark.parametrize("check_all_k", [False, True])
     def test_exhaustive(self, check_all_k):
@@ -108,11 +120,19 @@ class TestErdosGallaiKernel:
         assert not any(r.parity_ok for r in odd)
         assert {r.graphical for r in bases} == {True, False}
 
+    @pytest.mark.parametrize("check_all_k", [False, True])
+    def test_small_seeded(self, check_all_k):
+        for seq in small_seeded_sequences():
+            assert erdos_gallai_test(seq, check_all_k) == erdos_gallai_reference(
+                seq, check_all_k
+            ), seq
+
     def test_counts_kernel(self):
-        # CG's Erdos-Gallai on counts per degree, checked at block ends.
+        # Erdos-Gallai on counts per degree: the first violated k, or 0.
         for seq in [*exhaustive_family(max_n=7, max_deg=7), *large_sequences()]:
             counts = _residual_counts(seq)
-            assert _eg_counts(counts) == erdos_gallai_test(seq).graphical, seq
+            want = erdos_gallai_reference(seq).first_violated_k or 0
+            assert _eg_counts(counts) == want, seq
 
     def test_negative_entry_raises(self):
         with pytest.raises(InvalidDegree):
@@ -134,10 +154,12 @@ class TestHavelHakimiKernel:
     @pytest.mark.parametrize("policy", list(NodeSelectionPolicy))
     def test_random_with_zeros(self, policy):
         rng = random.Random(60)
+        sequences = [(1, 10**12, 1)]  # a later degree must not size the buckets
         for _ in range(400):
             n = rng.randint(1, 60)
             top = rng.randint(0, n)
-            seq = tuple(rng.randint(0, top) for _ in range(n))
+            sequences.append(tuple(rng.randint(0, top) for _ in range(n)))
+        for seq in sequences:
             want = outcome(havel_hakimi_reference, seq, policy)
             assert outcome(havel_hakimi_construct, seq, policy) == want, seq
 

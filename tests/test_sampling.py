@@ -15,6 +15,7 @@ from helpers import (
 )
 from kernel_references import estimate_reference
 
+from graphreal import enumeration, sampling
 from graphreal.core import (
     InvalidArgument,
     LabeledGraph,
@@ -123,6 +124,21 @@ class TestSampleWeighted:
     def test_not_graphical(self):
         with pytest.raises(NotGraphical):
             sample_weighted((3, 2, 1), 0)
+
+    def test_one_graphicality_test_per_sample(self, monkeypatch):
+        # The walk tests the input; nothing tests it again.
+        calls = []
+        for module in (sampling, enumeration):
+            def counting(*args, real=module.erdos_gallai_test):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "erdos_gallai_test", counting)
+        sample_weighted(HH_GAP_SEQUENCE, 1)
+        assert len(calls) == 1
+        with pytest.raises(NotGraphical, match=r"^\[3, 2, 1\] is not graphical$"):
+            sample_weighted((3, 2, 1), 0)
+        assert len(calls) == 2
 
     def test_probability_matches_enumeration(self):
         # The sampler and the full walk give each graph the same probability.
