@@ -20,8 +20,7 @@ from math import comb, prod
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
 from .core import _Record
-from .constrained import cg_test
-from .graphicality import _eg_counts, _residual_counts, erdos_gallai_test
+from .graphicality import _eg_counts, _graphical, _residual_counts
 
 
 class CountResult(_Record):
@@ -32,7 +31,7 @@ def _focal_sequence(d) -> tuple[int, ...]:
     """The positive part of ``d``, which must be nonincreasing (else
     InvalidDegree), graphical and nonzero (else NotGraphical)."""
     seq = tuple(x for x in DegreeSequence(as_residuals(d)).degrees if x > 0)
-    if not seq or not erdos_gallai_test(seq).graphical:
+    if not seq or not _graphical(seq):
         raise NotGraphical(f"no adjacency set of node 1 keeps {list(seq)} graphical")
     return seq
 
@@ -45,6 +44,7 @@ def rightmost_adjacency_set(d) -> AdjacencySet:
     graphicality test passes with the kept members as forbidden connections.
     ``d`` must be nonincreasing; nodes of degree 0 are never members.
     """
+    from .constrained import cg_test  # loaded only where it is used
     degs = _focal_sequence(d)
     n = len(degs)
     residual = list(degs)
@@ -178,52 +178,101 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
     non-graphical ``degs`` yields nothing.  With ``pick`` None every set is
     taken in turn, in decreasing colex order; otherwise ``pick(k)`` draws an
     index into the ``k`` sets of each level, which ``_nth_set`` maps to a set
-    without building A(d), down to one leaf.  Each edge is pushed once per
-    tree node as a (min, max) pair of ``names[v]``; names leave the order as
-    it is.  A leaf has no stub left.  The explicit stack has no depth limit.
+    without building A(d), down to one leaf.  Each edge is a (min, max) pair
+    of ``names[v]``; names leave the order of the leaves as it is.
+
+    A level whose top residual equals the edges left is forced: the other
+    positive residuals are all 1, and the one set is the star of them all.
+    Its leaf is yielded at once, branch size 1, with no sort and no stack
+    level.  Without ``pick``, a level offers its sets lazily from
+    ``_offers``, each with the position pairs that finish its path when its
+    child is such a star; the list is kept in ``known``, one per multiset,
+    once all of its sets were offered, and later levels on that multiset
+    walk the list.  The explicit stack has no depth limit.
     """
-    if not erdos_gallai_test(degs).graphical:
+    if not _graphical(degs):
         return
     residual = list(degs)
     names = range(len(residual) + 1) if names is None else names
     m = sum(residual) // 2  # a leaf has m edges
+    if not m:
+        yield (), ()
+        return
     edges: list[tuple[int, int]] = []
-    # Per level: [focal, labels, later sets, current set, saved residual, size].
+    # Per level: [labels, offers, set applied, top residual, star_sizes].
     stack: list[list] = []
-    known: dict[tuple[int, ...], tuple] = {}  # sorted view -> _groupings
+    known: dict[tuple[int, ...], list] = {}  # multiset -> its _offers
+    star_sizes = (1,)  # the branch sizes of a leaf one forced level below
     while True:
-        if len(edges) < m:
-            labels, seq = _sorted_view(residual)
-            if (level := known.get(seq)) is None:
-                level = known[seq] = _groupings(_key(seq))
-            size, groupings = level
-            sets = (_adjacency_sets(groupings) if pick is None
-                    else iter([_nth_set(groupings, pick(size))]))
-            focal = labels[0]
-            stack.append([focal, labels, sets, next(sets), residual[focal - 1], size])
+        left = m - len(edges)
+        if left == max(residual):  # forced: the star from the top node
+            if pick is not None:
+                pick(1)
+            hub = residual.index(left) + 1
+            a = names[hub]
+            yield (*edges, *[(a, b) if a < (b := names[v]) else (b, a)
+                             for v in range(len(residual), 0, -1)
+                             if residual[v - 1] and v != hub]), star_sizes
         else:
-            yield tuple(edges), tuple([level[5] for level in stack])
-            # Undo levels until one has a next set, then move to it.
-            while stack:
-                level = stack[-1]
-                focal, labels, sets, current, saved, _ = level
-                residual[focal - 1] = saved
+            labels, seq = _sorted_view(residual)
+            if (offers := known.get(seq)) is not None:
+                size = len(offers)
+            else:
+                size, groupings = _groupings(_key(seq))
+                offers = (_offers(seq, _adjacency_sets(groupings), known) if pick is None
+                          else [(_nth_set(groupings, pick(size)), None)])
+            star_sizes = (*star_sizes[:-1], size, 1)
+            stack.append([labels, iter(offers), (), seq[0], star_sizes])
+        # Undo levels until one has a next set; finish each star child at
+        # once, and descend into the first other child.
+        while stack:
+            level = stack[-1]
+            labels, offers, current, top, star_sizes = level
+            if current:
+                residual[labels[0] - 1] = top
                 for p in current:
                     residual[labels[p - 1] - 1] += 1
                 del edges[-len(current):]
-                level[3] = next(sets, None)
-                if level[3] is not None:
+            for current, finish in offers:
+                if finish is None:
                     break
-                stack.pop()
+                yield (*edges, *[(a, b) if (a := names[labels[p - 1]])
+                                 < (b := names[labels[q - 1]]) else (b, a)
+                                 for p, q in finish]), star_sizes
             else:
-                return
-        focal, labels, _, current = stack[-1][:4]
-        a = names[focal]
-        for p in current:
-            v = labels[p - 1]
-            residual[v - 1] -= 1
-            edges.append((a, b) if a < (b := names[v]) else (b, a))
-        residual[focal - 1] = 0
+                stack.pop()
+                continue
+            level[2] = current
+            a = names[labels[0]]
+            for p in current:
+                v = labels[p - 1]
+                residual[v - 1] -= 1
+                edges.append((a, b) if a < (b := names[v]) else (b, a))
+            residual[labels[0] - 1] = 0
+            break
+        else:
+            return
+
+
+def _offers(seq, sets, known) -> Iterator[tuple[tuple[int, ...], tuple | None]]:
+    """Each of ``sets``, the sets of the multiset ``seq`` that is not a star,
+    with the position pairs that finish its path if its child is a star (its
+    own edges, then the star's), else None; the list of them goes into
+    ``known`` once every set was offered."""
+    left = sum(seq) // 2 - seq[0]  # edges of each child
+    offered = []
+    for members in sets:
+        child = [0, *seq[1:]]
+        for p in members:
+            child[p - 1] -= 1
+        finish = None
+        if max(child) == left:
+            hub = child.index(left) + 1
+            finish = (*[(1, p) for p in members],
+                      *[(hub, q) for q in range(len(seq), 1, -1) if child[q - 1] and q != hub])
+        offered.append((members, finish))
+        yield members, finish
+    known[seq] = offered
 
 
 def enumerate_all(d) -> Iterator[LabeledGraph]:
@@ -259,7 +308,7 @@ def count_realizations(d) -> CountResult:
     so long chains do not hit Python's recursion limit.
     """
     degs = as_residuals(d)
-    if not erdos_gallai_test(degs).graphical:
+    if not _graphical(degs):
         return CountResult(0, 0, 0)
     key = _key(degs)
     memo: dict[tuple[int, ...], int] = {(): 1}

@@ -4,13 +4,16 @@
 ``havel_hakimi_reference`` rebuilds and re-sorts the active list for every
 focal node, ``molloy_reed_reference`` runs the public ``cg_test`` on the
 whole residual list after every connection, ``estimate_reference`` weighs
-each draw by the branch sizes of the labelled tree walk, and
+each draw by the branch sizes of the labelled tree walk,
 ``groupings_reference`` builds each child multiset of A(d) as a sorted
-tuple and runs ``erdos_gallai_test`` on it.  The library's kernels must
-agree with them exactly.
+tuple and runs ``erdos_gallai_test`` on it, and ``walk_reference`` sorts the
+residuals at every inner node of the construction tree, the star levels
+just above the leaves included.  The library's kernels must agree with them
+exactly.
 """
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
 
@@ -22,6 +25,7 @@ from graphreal.core import (
     RestartBudgetExceeded,
     as_residuals,
 )
+from graphreal.enumeration import _adjacency_sets, _groupings, _key, _nth_set, _sorted_view
 from graphreal.graphicality import EgReport, NodeSelectionPolicy, erdos_gallai_test
 from graphreal.sampling import (
     CountEstimate,
@@ -182,3 +186,59 @@ def groupings_reference(seq):
             out.append((picks, math.prod(math.comb(size, k) for _, size, k in picks),
                         child))
     return tuple(out)
+
+
+def walk_reference(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """Depth-first walk of the construction tree below the residuals ``degs``.
+
+    Yields ``(edges, branch_sizes)`` at each leaf, ``branch_sizes`` holding
+    the number of adjacency sets offered at each level of the path; a
+    non-graphical ``degs`` yields nothing.  With ``pick`` None every set is
+    taken in turn, in decreasing colex order; otherwise ``pick(k)`` draws an
+    index into the ``k`` sets of each level, which ``_nth_set`` maps to a set
+    without building A(d), down to one leaf.  Each edge is pushed once per
+    tree node as a (min, max) pair of ``names[v]``; names leave the order as
+    it is.  A leaf has no stub left.  The explicit stack has no depth limit.
+    """
+    if not erdos_gallai_test(degs).graphical:
+        return
+    residual = list(degs)
+    names = range(len(residual) + 1) if names is None else names
+    m = sum(residual) // 2  # a leaf has m edges
+    edges: list[tuple[int, int]] = []
+    # Per level: [focal, labels, later sets, current set, saved residual, size].
+    stack: list[list] = []
+    known: dict[tuple[int, ...], tuple] = {}  # sorted view -> _groupings
+    while True:
+        if len(edges) < m:
+            labels, seq = _sorted_view(residual)
+            if (level := known.get(seq)) is None:
+                level = known[seq] = _groupings(_key(seq))
+            size, groupings = level
+            sets = (_adjacency_sets(groupings) if pick is None
+                    else iter([_nth_set(groupings, pick(size))]))
+            focal = labels[0]
+            stack.append([focal, labels, sets, next(sets), residual[focal - 1], size])
+        else:
+            yield tuple(edges), tuple([level[5] for level in stack])
+            # Undo levels until one has a next set, then move to it.
+            while stack:
+                level = stack[-1]
+                focal, labels, sets, current, saved, _ = level
+                residual[focal - 1] = saved
+                for p in current:
+                    residual[labels[p - 1] - 1] += 1
+                del edges[-len(current):]
+                level[3] = next(sets, None)
+                if level[3] is not None:
+                    break
+                stack.pop()
+            else:
+                return
+        focal, labels, _, current = stack[-1][:4]
+        a = names[focal]
+        for p in current:
+            v = labels[p - 1]
+            residual[v - 1] -= 1
+            edges.append((a, b) if a < (b := names[v]) else (b, a))
+        residual[focal - 1] = 0

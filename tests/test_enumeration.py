@@ -11,6 +11,7 @@ from helpers import (
     graphical_family,
     recursion_headroom,
 )
+from kernel_references import walk_reference
 
 from graphreal import constrained, enumeration, sampling
 from graphreal.core import InvalidDegree, NotGraphical, graph_degree_sequence
@@ -199,6 +200,58 @@ def test_walk_with_names_relabels_each_leaf():
         assert list(_walk(seq, names=names)) == want, seq
 
 
+def leaves(walk, limit=None):
+    """The leaves of a walk, each edge tuple as a set, up to ``limit``."""
+    return [(frozenset(edges), sizes) for edges, sizes in itertools.islice(walk, limit)]
+
+
+def recorded(pick_log, seed):
+    """A pick that draws from ``random.Random(seed)`` and logs each argument."""
+    rng = random.Random(seed)
+
+    def pick(k):
+        pick_log.append(k)
+        return rng.randrange(k)
+
+    return pick
+
+
+class TestWalkMatchesReference:
+    # The walk that finishes star children from cached position pairs gives
+    # the leaves of the walk that sorts the residuals at every inner node, in
+    # the same order, and calls pick with the same sizes at the same levels.
+
+    def test_family_under_permuted_names(self):
+        rng = random.Random(13)
+        for seq in graphical_family(max_n=7):
+            positions = list(range(1, len(seq) + 1))
+            rng.shuffle(positions)
+            names = (0, *positions)
+            assert leaves(_walk(seq, names=names)) == leaves(
+                walk_reference(seq, names=names)), seq
+            for seed in range(3):
+                got, want = [], []
+                assert list(_walk(seq, recorded(got, seed), names)) == list(
+                    walk_reference(seq, recorded(want, seed), names)), (seq, seed)
+                assert got == want, (seq, seed)
+
+    def test_bench_multiset_first_leaves(self):
+        seq = (4,) * 6 + (3,) * 8
+        assert leaves(_walk(seq), 20_000) == leaves(walk_reference(seq), 20_000)
+
+    def test_sampler_picks_on_bench_multiset(self):
+        seq = (4,) * 6 + (3,) * 8
+        for seed in range(20):
+            got, want = [], []
+            assert list(_walk(seq, recorded(got, seed))) == list(
+                walk_reference(seq, recorded(want, seed))), seed
+            assert got == want, seed
+
+    @pytest.mark.parametrize("seq", [(), (0, 0), (1, 1), (2, 1, 1), (1, 1, 1, 1), (3, 3)])
+    def test_small_and_degenerate(self, seq):
+        assert list(_walk(seq)) == list(walk_reference(seq))
+
+
 class TestCountRealizations:
     @pytest.mark.parametrize(
         "seq,expected",
@@ -241,8 +294,9 @@ def test_no_cg_test_on_construction_paths(monkeypatch):
         raise AssertionError("CG test called")
 
     # cg_test and the residual-count kernel behind it, wherever imported.
-    for module, name in [(enumeration, "cg_test"), (constrained, "cg_test"),
-                         (constrained, "_cg_counts"), (sampling, "_cg_counts")]:
+    # (``rightmost_adjacency_set`` imports cg_test from constrained when called.)
+    for module, name in [(constrained, "cg_test"), (constrained, "_cg_counts"),
+                         (sampling, "_cg_counts")]:
         monkeypatch.setattr(module, name, forbidden)
     enumeration._groupings.cache_clear()
     assert count_realizations(HH_GAP_SEQUENCE).count == HH_GAP_COUNT

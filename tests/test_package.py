@@ -114,6 +114,14 @@ class TestStartUp:
         assert "graphreal.enumeration" in added
         assert not added & {"graphreal.sampling", "graphreal.oracle"}
 
+    @pytest.mark.parametrize("argv", [["enumerate", "-s", "2 2 2 1 1"],
+                                      ["count", "-s", "2 2 2 1 1"]])
+    def test_enumerate_and_count_skip_the_constrained_module(self, argv):
+        # Only rightmost_adjacency_set runs cg_test, and it imports it itself.
+        added = cli_modules(argv)
+        assert "graphreal.enumeration" in added
+        assert "graphreal.constrained" not in added
+
     def test_mr_sample_loads_neither_fractions_nor_enumeration(self):
         # Stub matching needs no exact probabilities and no tree walk.
         added = cli_modules(["sample", "-s", "2 2 2 2", "--method", "mr", "--seed", "1"])
