@@ -20,7 +20,7 @@ from math import comb, prod
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
 from .core import _Record
-from .graphicality import _eg_counts, _graphical, _residual_counts
+from .graphicality import _eg_counts, _residual_counts, erdos_gallai_test
 
 
 class CountResult(_Record):
@@ -31,7 +31,7 @@ def _focal_sequence(d) -> tuple[int, ...]:
     """The positive part of ``d``, which must be nonincreasing (else
     InvalidDegree), graphical and nonzero (else NotGraphical)."""
     seq = tuple(x for x in DegreeSequence(as_residuals(d)).degrees if x > 0)
-    if not seq or not _graphical(seq):
+    if not seq or not erdos_gallai_test(seq).graphical:
         raise NotGraphical(f"no adjacency set of node 1 keeps {list(seq)} graphical")
     return seq
 
@@ -170,6 +170,9 @@ def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return [v + 1 for v in order[:len(degs)]], degs
 
 
+_KEEP = 1 << 16  # members and pairs that the set lists of one walk may hold
+
+
 def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """Depth-first walk of the construction tree below the residuals ``degs``.
 
@@ -188,9 +191,11 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
     ``_offers``, each with the position pairs that finish its path when its
     child is such a star; the list is kept in ``known``, one per multiset,
     once all of its sets were offered, and later levels on that multiset
-    walk the list.  The explicit stack has no depth limit.
+    walk the list.  The kept lists hold at most ``_KEEP`` members and pairs
+    in all, so memory stays bounded on a huge A(d).  The explicit stack has
+    no depth limit.
     """
-    if not _graphical(degs):
+    if not erdos_gallai_test(degs).graphical:
         return
     residual = list(degs)
     names = range(len(residual) + 1) if names is None else names
@@ -202,6 +207,7 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
     # Per level: [labels, offers, set applied, top residual, star_sizes].
     stack: list[list] = []
     known: dict[tuple[int, ...], list] = {}  # multiset -> its _offers
+    room = [_KEEP]  # members and pairs the lists may still take
     star_sizes = (1,)  # the branch sizes of a leaf one forced level below
     while True:
         left = m - len(edges)
@@ -219,7 +225,7 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
                 size = len(offers)
             else:
                 size, groupings = _groupings(_key(seq))
-                offers = (_offers(seq, _adjacency_sets(groupings), known) if pick is None
+                offers = (_offers(seq, _adjacency_sets(groupings), known, room) if pick is None
                           else [(_nth_set(groupings, pick(size)), None)])
             star_sizes = (*star_sizes[:-1], size, 1)
             stack.append([labels, iter(offers), (), seq[0], star_sizes])
@@ -254,13 +260,15 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
             return
 
 
-def _offers(seq, sets, known) -> Iterator[tuple[tuple[int, ...], tuple | None]]:
+def _offers(seq, sets, known, room) -> Iterator[tuple[tuple[int, ...], tuple | None]]:
     """Each of ``sets``, the sets of the multiset ``seq`` that is not a star,
     with the position pairs that finish its path if its child is a star (its
-    own edges, then the star's), else None; the list of them goes into
-    ``known`` once every set was offered."""
+    own edges, then the star's), else None.  The list of them goes into
+    ``known`` once every set was offered, its members and pairs taken from
+    ``room[0]``; a list that outgrows the room is dropped and gives its share
+    back, so its multiset is offered afresh at each visit."""
     left = sum(seq) // 2 - seq[0]  # edges of each child
-    offered = []
+    offered, held = [], 0
     for members in sets:
         child = [0, *seq[1:]]
         for p in members:
@@ -270,9 +278,18 @@ def _offers(seq, sets, known) -> Iterator[tuple[tuple[int, ...], tuple | None]]:
             hub = child.index(left) + 1
             finish = (*[(1, p) for p in members],
                       *[(hub, q) for q in range(len(seq), 1, -1) if child[q - 1] and q != hub])
-        offered.append((members, finish))
+        if offered is not None:
+            cost = len(finish or members)
+            if cost <= room[0]:
+                room[0] -= cost
+                held += cost
+                offered.append((members, finish))
+            else:
+                room[0] += held
+                offered = None
         yield members, finish
-    known[seq] = offered
+    if offered is not None:
+        known[seq] = offered
 
 
 def enumerate_all(d) -> Iterator[LabeledGraph]:
@@ -308,7 +325,7 @@ def count_realizations(d) -> CountResult:
     so long chains do not hit Python's recursion limit.
     """
     degs = as_residuals(d)
-    if not _graphical(degs):
+    if not erdos_gallai_test(degs).graphical:
         return CountResult(0, 0, 0)
     key = _key(degs)
     memo: dict[tuple[int, ...], int] = {(): 1}

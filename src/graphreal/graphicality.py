@@ -48,28 +48,15 @@ def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:
     """
     degs = as_residuals(d)
     n = len(degs)
-    counts = _clamped_counts(degs)
+    if degs and min(degs) < 0:
+        raise InvalidDegree(f"negative degree {min(degs)}")
     parity_ok = sum(degs) % 2 == 0
+    counts = _residual_counts(degs if max(degs, default=0) < n else
+                              [min(x, n) for x in degs])  # >= n fails at k = 1
     first_violated = _eg_counts(counts, check_all_k) or None
     at_least = zip(range(len(counts) - 1, 0, -1), accumulate(reversed(counts)))
     s = n if check_all_k else next((v for v, w in at_least if w >= v), 0)
     return EgReport(parity_ok and first_violated is None, parity_ok, first_violated, s)
-
-
-def _graphical(degs: tuple[int, ...]) -> bool:
-    """``erdos_gallai_test(degs).graphical`` for a tuple of ints, without
-    building the report; InvalidDegree on a negative entry."""
-    counts = _clamped_counts(degs)
-    return sum(degs) % 2 == 0 and not _eg_counts(counts)
-
-
-def _clamped_counts(degs: tuple[int, ...]) -> list[int]:
-    """``_residual_counts`` of ``degs`` with each entry clamped to n = len(degs)
-    (an entry >= n fails at k = 1); InvalidDegree on a negative entry."""
-    n = len(degs)
-    if degs and min(degs) < 0:
-        raise InvalidDegree(f"negative degree {min(degs)}")
-    return _residual_counts(degs if max(degs, default=0) < n else [min(x, n) for x in degs])
 
 
 def _residual_counts(residual) -> list[int]:

@@ -21,7 +21,7 @@ from .core import (
     as_residuals,
 )
 from .constrained import _cg_counts
-from .graphicality import _graphical, _residual_counts
+from .graphicality import _residual_counts, erdos_gallai_test
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,7 +90,7 @@ class MrRunStats(_Record):
 
 
 def _check_graphical(degs: tuple[int, ...]) -> None:
-    if not _graphical(degs):
+    if not erdos_gallai_test(degs).graphical:
         raise NotGraphical(f"{list(degs)} is not graphical")
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -250,6 +251,28 @@ class TestWalkMatchesReference:
     @pytest.mark.parametrize("seq", [(), (0, 0), (1, 1), (2, 1, 1), (1, 1, 1, 1), (3, 3)])
     def test_small_and_degenerate(self, seq):
         assert list(_walk(seq)) == list(walk_reference(seq))
+
+    @pytest.mark.parametrize("keep", [0, 40, 300])
+    def test_lists_dropped_for_room(self, monkeypatch, keep):
+        # With little room some lists are dropped and their multisets offered
+        # afresh; the leaves stay the same.
+        monkeypatch.setattr(enumeration, "_KEEP", keep)
+        for seq in [(4, 4, 4, 3, 3, 2, 2, 1, 1), (3, 3, 3, 3, 2, 2, 2, 2), (2,) * 7]:
+            assert leaves(_walk(seq)) == leaves(walk_reference(seq)), seq
+
+
+def test_kept_lists_stay_bounded():
+    # Every child of the root of (k, 1 * (k + 2)) is a star, so each of the
+    # C(k + 2, 2) root sets comes with k + 1 finishing pairs: about 36 MB at
+    # k = 100 if the root's list were kept whole.
+    seq = (100,) + (1,) * 102
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in _walk(seq)) == math.comb(102, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestCountRealizations:

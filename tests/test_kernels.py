@@ -30,7 +30,6 @@ from graphreal.enumeration import _groupings, _key, count_realizations
 from graphreal.graphicality import (
     NodeSelectionPolicy,
     _eg_counts,
-    _graphical,
     _residual_counts,
     erdos_gallai_test,
     havel_hakimi_construct,
@@ -135,19 +134,11 @@ class TestErdosGallaiKernel:
             want = erdos_gallai_reference(seq).first_violated_k or 0
             assert _eg_counts(counts) == want, seq
 
-    def test_private_check_matches_reference(self):
-        # The bool check the library's own callers use, without a report.
-        for seq in [*exhaustive_family(max_n=7, max_deg=7), *small_seeded_sequences()]:
-            assert _graphical(tuple(seq)) == erdos_gallai_reference(seq).graphical, seq
-
     def test_negative_entry_raises(self):
         with pytest.raises(InvalidDegree):
             erdos_gallai_test((1, 1, 1, -1))
         with pytest.raises(InvalidDegree):
             erdos_gallai_test((1, 1, 1, -1), check_all_k=True)
-        for seq in [(1, 1, 1, -1), (0, -1)]:  # odd sums are refused too
-            with pytest.raises(InvalidDegree):
-                _graphical(seq)
 
 
 class TestHavelHakimiKernel:

@@ -129,11 +129,11 @@ class TestSampleWeighted:
         # The walk tests the input; nothing tests it again.
         calls = []
         for module in (sampling, enumeration):
-            def counting(*args, real=module._graphical):
+            def counting(*args, real=module.erdos_gallai_test):
                 calls.append(args)
                 return real(*args)
 
-            monkeypatch.setattr(module, "_graphical", counting)
+            monkeypatch.setattr(module, "erdos_gallai_test", counting)
         sample_weighted(HH_GAP_SEQUENCE, 1)
         assert len(calls) == 1
         with pytest.raises(NotGraphical, match=r"^\[3, 2, 1\] is not graphical$"):
