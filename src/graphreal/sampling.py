@@ -20,10 +20,10 @@ from .core import (
     _Record,
     as_residuals,
 )
-from .constrained import _cg_counts
 from .graphicality import _residual_counts, erdos_gallai_test
 
-_MASK = (1 << 64) - 1
+_WORD = 1 << 64
+_MASK = _WORD - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -49,19 +49,30 @@ class SplitMix64:
         return cls(_mix64(seed & _MASK) ^ _mix64((index + 1) & _MASK))
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix64(self._state)
+        return self.randrange(_WORD)
 
     def randrange(self, n: int) -> int:
-        # Exactly uniform by rejection; a try joins ceil(bits / 64) words above 2**64.
-        words = 1 if n <= 1 << 64 else -(-(n - 1).bit_length() // 64)
-        limit = (1 << 64 * words) - ((1 << 64 * words) % n)
+        # Exactly uniform by rejection; a try joins ceil(bits / 64) words above
+        # 2**64.  Up to 2**64 the state advances and the word is mixed here, in
+        # one frame: the same word as _mix64 of the advanced state.
+        if n > _WORD:
+            words = -(-(n - 1).bit_length() // 64)
+            limit = (1 << 64 * words) - ((1 << 64 * words) % n)
+            while True:
+                u = 0
+                for _ in range(words):
+                    u = u << 64 | self.next_u64()
+                if u < limit:
+                    return u % n
+        limit = _WORD - _WORD % n
         while True:
-            u = self.next_u64()
-            for _ in range(1, words):
-                u = u << 64 | self.next_u64()
-            if u < limit:
-                return u % n
+            z = self._state = (self._state + _GOLDEN) & _MASK
+            z = (z + _GOLDEN) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                return z % n
 
 
 class RealizationSample(_Record):
@@ -131,35 +142,49 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     set leaves.  Draws and |A(d)| depend only on the multiset, so each weight
     equals that of the labelled walk for the same seed.
 
-    Each draw uses its own RNG stream, so batches may run concurrently and
-    merge associatively.  The standard error is the sample standard
-    deviation of the weights divided by sqrt(samples); it is computed
-    exactly and only the final square root is a float, so weights far
-    beyond the float range cannot overflow it.
+    The call keeps its own table of the multisets its draws reach, filled
+    as they first reach them.  A multiset with several groupings holds its
+    size and the running totals of its groupings' ways, and a draw picks
+    its grouping by bisection.  A multiset that has one grouping, as has
+    every multiset below it, holds the fixed weight that every path from it
+    has, so a draw that reaches it stops there; when the root is such a
+    multiset, as 1^n is, every draw has that weight and none is made.
+
+    Draw ``i`` uses RNG stream ``i``, so batches may run concurrently and
+    merge associatively, and stopping a draw early changes no other draw.
+    The standard error is the sample standard deviation of the weights
+    divided by sqrt(samples); it is computed exactly and only the final
+    square root is a float, so weights far beyond the float range cannot
+    overflow it.
     """
+    from bisect import bisect_right
     from fractions import Fraction
-    from .enumeration import _groupings, _key
+    from .enumeration import _key
     samples, seed = _integers((samples, seed), InvalidArgument)
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     degs = as_residuals(d)
     _check_graphical(degs)
     root = _key(degs)
-    total = 0
-    total_sq = 0
-    for i in range(samples):
-        rng = SplitMix64._stream(seed, i)
-        key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
-        while key:
-            size, groupings = _groupings(key)
-            r = rng.randrange(size) if size > 1 else 0
-            w *= size
-            for _, ways, key in groupings:  # the grouping r falls in
-                if r < ways:
+    table = {(): (1, None, None)}
+    size, totals, _ = _node(table, root)
+    if totals is None:  # every draw has weight size
+        total, total_sq = samples * size, samples * size * size
+    else:
+        total = total_sq = 0
+        rng, mixed_seed = SplitMix64(0), _mix64(seed)
+        for i in range(samples):
+            rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64._stream(seed, i)
+            key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
+            while True:
+                size, totals, groupings = table.get(key) or _node(table, key)
+                w *= size
+                if totals is None:
                     break
-                r -= ways
-        total += w
-        total_sq += w * w
+                r = rng.randrange(size) if size > 1 else 0
+                key = groupings[bisect_right(totals, r)][2]
+            total += w
+            total_sq += w * w
     estimate = Fraction(total, samples)
     if samples > 1:
         # variance / samples, with variance = (S2 - S1^2 / N) / (N - 1)
@@ -169,6 +194,36 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     else:
         stderr = float("inf")
     return CountEstimate(estimate, stderr, samples)
+
+
+def _node(table: dict, key: tuple[int, ...]) -> tuple:
+    """The entry of ``key`` in an ``estimate_count`` table, made if missing.
+
+    An entry is ``(weight, None, None)`` where the multiset and every one
+    below it has a single grouping, so that every path from it has that
+    weight; otherwise it is ``(size, totals, groupings)``, with ``totals``
+    the running sums of the ways of ``_groupings(key)``.  A chain of single
+    groupings is followed in a loop, not by recursion: 1^3200 is 1,600
+    levels deep.
+    """
+    from itertools import accumulate
+    from .enumeration import _groupings
+    chain = []  # the single groupings above ``key``
+    while key not in table:
+        size, groupings = _groupings(key)
+        if len(groupings) > 1:
+            table[key] = (size, tuple(accumulate(ways for _, ways, _ in groupings)), groupings)
+            break
+        chain.append((key, size, groupings))
+        key = groupings[0][2]
+    weight, totals, _ = table[key]
+    for key, size, groupings in reversed(chain):
+        if totals is None:
+            weight *= size
+            table[key] = (weight, None, None)
+        else:
+            table[key] = (size, (size,), groupings)
+    return table[key]
 
 
 def _float_sqrt(x: Fraction) -> float:
@@ -219,6 +274,8 @@ def molloy_reed_sample(
     (budget,) = _integers((budget,), InvalidArgument)
     degs = as_residuals(d)
     _check_graphical(degs)
+    if early_reject:  # this module's attribute, made by __getattr__ at first use
+        cg_counts = globals().get("_cg_counts") or __getattr__("_cg_counts")
     n = len(degs)
     rng = SplitMix64.stream(seed, stream)
     stats = MrRunStats()
@@ -260,8 +317,8 @@ def molloy_reed_sample(
                 # exceeds its non-neighbours: the CG test's preconditions
                 # hold.
                 if not (
-                    _cg_counts(counts, residual, i, adjacency[i])
-                    and _cg_counts(counts, residual, j, adjacency[j])
+                    cg_counts(counts, residual, i, adjacency[i])
+                    and cg_counts(counts, residual, j, adjacency[j])
                 ):
                     fail = "cg_reject"
                     break
@@ -270,6 +327,16 @@ def molloy_reed_sample(
             return LabeledGraph._trusted(n, edges), stats
         stats.restarts += 1
         stats.rejection_causes[fail] += 1
+
+
+def __getattr__(name: str):
+    # PEP 562: the CG kernel, which only Molloy-Reed early rejection runs, is
+    # imported from ``constrained`` at its first lookup, not with this module.
+    if name != "_cg_counts":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .constrained import _cg_counts
+    globals()[name] = _cg_counts
+    return _cg_counts
 
 
 def _draw_stub(residual: list[int], r: int) -> int:

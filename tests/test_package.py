@@ -122,6 +122,16 @@ class TestStartUp:
         assert "graphreal.enumeration" in added
         assert "graphreal.constrained" not in added
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "-s", "2 2 2 1 1", "--samples", "3", "--seed", "1"],
+        ["sample", "-s", "2 2 2 1 1", "--samples", "2", "--seed", "1"],
+    ])
+    def test_estimate_and_weighted_sample_skip_the_constrained_module(self, argv):
+        # Only Molloy-Reed early rejection runs the CG kernel, and it imports it itself.
+        added = cli_modules(argv)
+        assert "graphreal.sampling" in added
+        assert "graphreal.constrained" not in added
+
     def test_mr_sample_loads_neither_fractions_nor_enumeration(self):
         # Stub matching needs no exact probabilities and no tree walk.
         added = cli_modules(["sample", "-s", "2 2 2 2", "--method", "mr", "--seed", "1"])

@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -23,7 +24,8 @@ from graphreal.core import (
     RestartBudgetExceeded,
     graph_degree_sequence,
 )
-from graphreal.enumeration import _walk, count_realizations, enumerate_all
+from graphreal.enumeration import _groupings, _key, _walk, count_realizations, enumerate_all
+from graphreal.graphicality import erdos_gallai_test
 from graphreal.sampling import (
     SplitMix64,
     enumerate_with_probabilities,
@@ -73,6 +75,40 @@ class TestSplitMix64:
                 while (u := words.next_u64()) >= limit:
                     pass
                 assert rng.randrange(n) == u % n
+
+
+class SplitMix64Words:
+    """splitmix64 written out on its own: the state advances by the golden
+    ratio, and each word mixes the advanced state plus the golden ratio."""
+
+    GOLDEN, MASK = 0x9E3779B97F4A7C15, 2**64 - 1
+
+    def __init__(self, state):
+        self.state = state
+
+    def word(self):
+        self.state = (self.state + self.GOLDEN) & self.MASK
+        z = (self.state + self.GOLDEN) & self.MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed, index", [(3, 1), (2**63 + 5, 0)])
+def test_randrange_and_next_u64_interleave_word_by_word(seed, index):
+    # randrange up to 2**64 draws its words in one frame, without calling
+    # next_u64, so compare the state itself after every call, not the calls.
+    rng = SplitMix64.stream(seed, index)
+    ref = SplitMix64Words(rng._state)
+    for _ in range(30):
+        for n in [1, 2, 3, 5, 2**32 + 1, 2**63 + 1, 2**64 - 1, 2**64]:
+            limit = 2**64 // n * n
+            while (u := ref.word()) >= limit:
+                pass
+            assert rng.randrange(n) == u % n
+            assert rng._state == ref.state
+            assert rng.next_u64() == ref.word()
+            assert rng._state == ref.state
 
 
 def bounded(rng, words=10_000):
@@ -268,6 +304,48 @@ class TestEstimateCount:
         assert sorted(seq, reverse=True) != list(seq)
         for seed in (1, 12345):
             assert estimate_count(seq, 300, seed) == estimate_reference(seq, 300, seed)
+
+    def test_equals_reference_on_family_of_seven(self):
+        for seq in graphical_family(max_n=7):
+            for seed in (3, 2**40 + 1):
+                got = estimate_count(seq, 8, seed)
+                assert got == estimate_reference(seq, 8, seed), (seq, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference_through_tails_of_ones(self, seed):
+        # Below the head every multiset is ones, whose single grouping per
+        # level gives a fixed weight: draws stop there in mid-descent.
+        rng = random.Random(seed)
+        while True:
+            head = sorted((rng.randint(2, 5) for _ in range(rng.randint(3, 6))),
+                          reverse=True)
+            seq = head + [1] * rng.randint(20, 40)
+            if sum(seq) % 2:
+                seq.append(1)
+            if erdos_gallai_test(seq).graphical:
+                break
+        rng.shuffle(seq)
+        assert len(_groupings(_key(seq))[1]) > 1
+        table = {(): (1, None, None)}
+        assert sampling._node(table, _key([1] * 40)) == (
+            math.prod(range(1, 40, 2)), None, None)
+        for draw_seed in (seed, 2**33 + seed):
+            assert estimate_count(seq, 40, draw_seed) == estimate_reference(
+                seq, 40, draw_seed)
+
+    def test_multiword_draw_on_a_branching_level(self):
+        seq = (34,) + (2,) * 10 + (1,) * 66
+        size, groupings = _groupings(_key(seq))
+        assert size > 2**64 and len(groupings) > 1
+        for seed in (1, 2, 99):
+            assert estimate_count(seq, 10, seed) == estimate_reference(seq, 10, seed)
+
+    def test_deep_single_grouping_chain(self):
+        # 1^3200 has 1,600 levels of one grouping each: no recursion.
+        with recursion_headroom():
+            r = estimate_count((1,) * 3200, 3, 1)
+        assert r.estimate == math.prod(range(1, 3200, 2))
+        assert r.stderr == 0.0
 
     @pytest.mark.parametrize("samples", [0, -3, 2.5])
     def test_bad_sample_count_is_invalid_argument(self, samples):
