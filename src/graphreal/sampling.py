@@ -25,6 +25,7 @@ from .graphicality import _residual_counts, erdos_gallai_test
 _WORD = 1 << 64
 _MASK = _WORD - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ENTRIES = 1 << 14  # multisets an estimate_count table holds before it is emptied
 
 
 def _mix64(z: int) -> int:
@@ -53,8 +54,8 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         # Exactly uniform by rejection; a try joins ceil(bits / 64) words above
-        # 2**64.  Up to 2**64 the state advances and the word is mixed here, in
-        # one frame: the same word as _mix64 of the advanced state.
+        # 2**64.  Up to 2**64 a try advances the state here, as next_u64 would,
+        # so that a draw takes no next_u64 frame.
         if n > _WORD:
             words = -(-(n - 1).bit_length() // 64)
             limit = (1 << 64 * words) - ((1 << 64 * words) % n)
@@ -66,11 +67,8 @@ class SplitMix64:
                     return u % n
         limit = _WORD - _WORD % n
         while True:
-            z = self._state = (self._state + _GOLDEN) & _MASK
-            z = (z + _GOLDEN) & _MASK
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            z ^= z >> 31
+            self._state = z = (self._state + _GOLDEN) & _MASK
+            z = _mix64(z)
             if z < limit:
                 return z % n
 
@@ -147,8 +145,10 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     size and the running totals of its groupings' ways, and a draw picks
     its grouping by bisection.  A multiset that has one grouping, as has
     every multiset below it, holds the fixed weight that every path from it
-    has, so a draw that reaches it stops there; when the root is such a
-    multiset, as 1^n is, every draw has that weight and none is made.
+    has, so a draw that reaches it stops there: on 1^n each draw stops at
+    once.  The table holds at most about ``_ENTRIES`` multisets, as many as
+    the ``_groupings`` cache; when full it is emptied and filled afresh,
+    which changes no weight.
 
     Draw ``i`` uses RNG stream ``i``, so batches may run concurrently and
     merge associatively, and stopping a draw early changes no other draw.
@@ -167,24 +167,20 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     _check_graphical(degs)
     root = _key(degs)
     table = {(): (1, None, None)}
-    size, totals, _ = _node(table, root)
-    if totals is None:  # every draw has weight size
-        total, total_sq = samples * size, samples * size * size
-    else:
-        total = total_sq = 0
-        rng, mixed_seed = SplitMix64(0), _mix64(seed)
-        for i in range(samples):
-            rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64._stream(seed, i)
-            key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
-            while True:
-                size, totals, groupings = table.get(key) or _node(table, key)
-                w *= size
-                if totals is None:
-                    break
-                r = rng.randrange(size) if size > 1 else 0
-                key = groupings[bisect_right(totals, r)][2]
-            total += w
-            total_sq += w * w
+    total = total_sq = 0
+    rng, mixed_seed = SplitMix64(0), _mix64(seed)
+    for i in range(samples):
+        rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64._stream(seed, i)
+        key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
+        while True:
+            size, totals, groupings = table.get(key) or _node(table, key)
+            w *= size
+            if totals is None:
+                break
+            r = rng.randrange(size) if size > 1 else 0
+            key = groupings[bisect_right(totals, r)][2]
+        total += w
+        total_sq += w * w
     estimate = Fraction(total, samples)
     if samples > 1:
         # variance / samples, with variance = (S2 - S1^2 / N) / (N - 1)
@@ -204,11 +200,15 @@ def _node(table: dict, key: tuple[int, ...]) -> tuple:
     weight; otherwise it is ``(size, totals, groupings)``, with ``totals``
     the running sums of the ways of ``_groupings(key)``.  A chain of single
     groupings is followed in a loop, not by recursion: 1^3200 is 1,600
-    levels deep.
+    levels deep.  Only the top of a chain with a fixed weight is kept, so
+    1^n keeps one weight, not one per level.
     """
     from itertools import accumulate
     from .enumeration import _groupings
-    chain = []  # the single groupings above ``key``
+    if len(table) >= _ENTRIES:  # every entry is a function of its key
+        table.clear()
+        table[()] = (1, None, None)
+    top, chain = key, []  # the single groupings from ``top`` down
     while key not in table:
         size, groupings = _groupings(key)
         if len(groupings) > 1:
@@ -217,13 +217,12 @@ def _node(table: dict, key: tuple[int, ...]) -> tuple:
         chain.append((key, size, groupings))
         key = groupings[0][2]
     weight, totals, _ = table[key]
-    for key, size, groupings in reversed(chain):
-        if totals is None:
-            weight *= size
-            table[key] = (weight, None, None)
-        else:
+    if totals is None:
+        table[top] = (weight * math.prod(size for _, size, _ in chain), None, None)
+    else:
+        for key, size, groupings in chain:
             table[key] = (size, (size,), groupings)
-    return table[key]
+    return table[top]
 
 
 def _float_sqrt(x: Fraction) -> float:

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -94,21 +95,55 @@ class SplitMix64Words:
         return z ^ (z >> 31)
 
 
+class Budgeted(SplitMix64):
+    """A generator that fails once its state has advanced ``words`` times,
+    so that a draw that never returns fails instead of hanging.  It counts
+    the advances themselves: ``bounded`` wraps ``next_u64``, which draws up
+    to 2**64 do not call."""
+
+    def __init__(self, state, words=10_000):
+        self.left = words + 1  # one more for the state set here
+        super().__init__(state)
+
+    @property
+    def _state(self):
+        return self.__dict__["_state"]
+
+    @_state.setter
+    def _state(self, value):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("the state advanced more than its budget")
+        self.__dict__["_state"] = value
+
+
 @pytest.mark.parametrize("seed, index", [(3, 1), (2**63 + 5, 0)])
 def test_randrange_and_next_u64_interleave_word_by_word(seed, index):
     # randrange up to 2**64 draws its words in one frame, without calling
     # next_u64, so compare the state itself after every call, not the calls.
-    rng = SplitMix64.stream(seed, index)
+    rng = Budgeted(SplitMix64.stream(seed, index)._state, words=1_000)
     ref = SplitMix64Words(rng._state)
+    words = 0
     for _ in range(30):
         for n in [1, 2, 3, 5, 2**32 + 1, 2**63 + 1, 2**64 - 1, 2**64]:
             limit = 2**64 // n * n
             while (u := ref.word()) >= limit:
-                pass
+                words += 1
             assert rng.randrange(n) == u % n
             assert rng._state == ref.state
             assert rng.next_u64() == ref.word()
             assert rng._state == ref.state
+            words += 2
+    assert rng.left == 1_000 - words
+
+
+def test_budget_stops_a_draw_that_never_returns(monkeypatch):
+    # 2**64 - 1 is the rejection limit for 5, so a mixer that always gives it
+    # rejects every try: the budget must end the loop.
+    rng = Budgeted(SplitMix64.stream(3, 1)._state, words=50)
+    monkeypatch.setattr(sampling, "_mix64", lambda z: 2**64 - 1)
+    with pytest.raises(AssertionError, match="budget"):
+        rng.randrange(5)
 
 
 def bounded(rng, words=10_000):
@@ -339,6 +374,34 @@ class TestEstimateCount:
         assert size > 2**64 and len(groupings) > 1
         for seed in (1, 2, 99):
             assert estimate_count(seq, 10, seed) == estimate_reference(seq, 10, seed)
+
+    def test_table_emptied_when_full(self, monkeypatch):
+        # A wide, varied sequence: 200 draws reach thousands of multisets.
+        # With room for 64 the table is emptied many times over; the
+        # estimate must not change and the call's peak must stay small.
+        rng = random.Random(1)
+        while True:
+            seq = [rng.randint(1, 4) for _ in range(80)]
+            if sum(seq) % 2 == 0 and erdos_gallai_test(seq).graphical:
+                break
+        want = estimate_reference(seq, 200, 1)  # fills the _groupings cache
+        node, sizes = sampling._node, []
+
+        def spy(table, key):
+            sizes.append(len(table))
+            return node(table, key)
+
+        monkeypatch.setattr(sampling, "_node", spy)
+        monkeypatch.setattr(sampling, "_ENTRIES", 64)
+        tracemalloc.start()
+        try:
+            got = estimate_count(seq, 200, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert len(sizes) > 20 * 64 and max(sizes) <= 64 + len(seq)
+        assert peak < 512 * 1024  # 2.3 MiB with no bound
 
     def test_deep_single_grouping_chain(self):
         # 1^3200 has 1,600 levels of one grouping each: no recursion.
