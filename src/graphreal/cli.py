@@ -147,12 +147,17 @@ def _forbid_spec(spec: str) -> ForbiddenSet:
 class _Emitter(contextlib.AbstractContextManager):
     """Writes graphs on 1..n to ``out`` in blocks of at least 64 KiB: each the
     text of ``format_graph`` or its JSON line (README), a newline and ``tail``.
-    ``graph`` takes a graph on the labels of ``d``, ``edges`` sorted (min, max)
-    pairs of input positions; ``text`` caches edge text past a block's first graph.
+
+    ``graph`` writes a finished graph on the labels of ``d`` row by row: its
+    edges are bucketed by their smaller input position, each row is sorted as
+    ints and written under one prefix, from label text made once per emitter.
+    ``edges`` writes the sorted (min, max) pairs of input positions of a walk
+    leaf, with ``text`` caching edge text past a block's first graph.
     """
 
     def __init__(self, out, n: int, d, fmt: str):
         self.out, self.names, self.text = out, (0, *d.permutation), {}
+        self.labels = list(map(str, range(n + 1)))  # the text of each position
         self.json = fmt == "jsonlines"
         self.head = '{"n":%d,"edges":[' % n if self.json else f"graph n={n} m="
         self.parts, self.size = [], 0
@@ -165,9 +170,28 @@ class _Emitter(contextlib.AbstractContextManager):
     __exit__ = flush
 
     def graph(self, g: LabeledGraph, tail: str) -> None:
-        names = self.names
-        self.edges(sorted((a, b) if (a := names[u]) < (b := names[v]) else (b, a)
-                          for u, v in g.edges), tail)
+        if self.size >= 1 << 16:  # as in ``edges``
+            self.flush()
+        names, labels = self.names, self.labels
+        rows = [[] for _ in labels]
+        for u, v in g.edges:
+            if (a := names[u]) < (b := names[v]):
+                rows[a].append(b)
+            else:
+                rows[b].append(a)
+        # One string per row a: "a b\n" per edge, or "[a,b]" per edge and commas.
+        start, sep, glue, end = (("[", ",", "],[", "]") if self.json
+                                 else ("", " ", "\n", "\n"))
+        chunks = []
+        for row, label in zip(rows, labels):
+            if row:
+                row.sort()
+                prefix = label + sep
+                bs = map(labels.__getitem__, row)
+                chunks.append(start + prefix + (glue + prefix).join(bs) + end)
+        self.parts += ((self.head, ",".join(chunks), "]}\n" + tail) if self.json
+                       else (f"{self.head}{len(g.edges)}\n", "".join(chunks), tail))
+        self.size += len(self.parts[-2])
 
     def edges(self, edges: list, tail: str) -> None:
         if self.size >= 1 << 16:  # one pipe buffer of edge text; written here,

@@ -318,6 +318,10 @@ def test_no_cg_test_on_construction_paths(monkeypatch):
 
     # cg_test and the residual-count kernel behind it, wherever imported.
     # (``rightmost_adjacency_set`` imports cg_test from constrained when called.)
+    # sampling imports the kernel from constrained at its first lookup, so it is
+    # looked up before constrained's is patched: otherwise sampling would cache
+    # the stub, and teardown would restore the stub there for later tests.
+    assert sampling._cg_counts is constrained._cg_counts
     for module, name in [(constrained, "cg_test"), (constrained, "_cg_counts"),
                          (sampling, "_cg_counts")]:
         monkeypatch.setattr(module, name, forbidden)

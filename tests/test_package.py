@@ -105,6 +105,10 @@ class TestStartUp:
     def test_test_loads_only_what_it_runs(self):
         assert not cli_modules(["test", "-s", "1 1"]) & UNUSED_BY_TEST
 
+    def test_construct_loads_only_what_it_runs(self):
+        # Havel-Hakimi and the row writer need nothing beyond core and graphicality.
+        assert not cli_modules(["construct", "-s", "3 0 2 2 1 2"]) & UNUSED_BY_TEST
+
     def test_forbid_adds_only_the_constrained_module(self):
         added = cli_modules(["test", "-s", "1 1", "--forbid", "1:"])
         assert added & UNUSED_BY_TEST == {"graphreal.constrained"}
