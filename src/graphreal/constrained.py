@@ -127,10 +127,14 @@ def _cg_counts(counts, residual, i: int, neighbours) -> bool:
     r_i highest remaining residuals, and the neighbours come back.  False
     if a stub would come from a node of residual 0, else the Erdos-Gallai
     verdict on the counts.  O(len(counts) + |neighbours|); ``counts`` is
-    left as it was.
+    left as it was.  With r_i = 0 no stub moves, and nodes of residual 0
+    leave the Erdos-Gallai verdict as it is, so that is the verdict on
+    ``counts`` itself, with no copy made.
     """
-    c = list(counts)
     need = residual[i - 1]
+    if not need:
+        return not _eg_counts(counts)
+    c = list(counts)
     c[need] -= 1
     for j in neighbours:
         c[residual[j - 1]] -= 1

@@ -267,6 +267,7 @@ def molloy_reed_sample(
     neighbours as its forbidden set; a failure restarts immediately.  The
     test reads ``counts[v]``, the number of nodes of residual v, which each
     connection updates in O(1), so it costs O(max degree + neighbours).
+    A stub is drawn in O(log n) from a Fenwick tree over the residuals.
     The budget caps the total number of stub pairings drawn across
     restarts.
     """
@@ -275,12 +276,14 @@ def molloy_reed_sample(
     _check_graphical(degs)
     if early_reject:  # this module's attribute, made by __getattr__ at first use
         cg_counts = globals().get("_cg_counts") or __getattr__("_cg_counts")
+    from .stubs import _stub_tree, _take_stub
     n = len(degs)
     rng = SplitMix64.stream(seed, stream)
     stats = MrRunStats()
     drawn = 0
     while True:
         residual = list(degs)
+        tree = _stub_tree(degs)  # so a failed attempt needs no stub put back
         counts = _residual_counts(degs) if early_reject else None
         remaining = sum(residual)
         adjacency: list[set[int]] = [set() for _ in range(n + 1)]
@@ -291,10 +294,8 @@ def molloy_reed_sample(
                     f"exceeded {budget} stub pairings", stats
                 )
             drawn += 1
-            i = _draw_stub(residual, rng.randrange(remaining))
-            residual[i - 1] -= 1
-            j = _draw_stub(residual, rng.randrange(remaining - 1))
-            residual[i - 1] += 1
+            i = _take_stub(tree, rng.randrange(remaining))
+            j = _take_stub(tree, rng.randrange(remaining - 1))
             if i == j:
                 fail = "self_loop"
                 break
@@ -314,10 +315,11 @@ def molloy_reed_sample(
                 # The input passed EG, so d_i <= n-1, and an attempt stops
                 # at its first multi-edge, so a node's residual never
                 # exceeds its non-neighbours: the CG test's preconditions
-                # hold.
+                # hold.  With i and j at residual 0, j's verdict is i's.
                 if not (
                     cg_counts(counts, residual, i, adjacency[i])
-                    and cg_counts(counts, residual, j, adjacency[j])
+                    and (residual[i - 1] == residual[j - 1] == 0
+                         or cg_counts(counts, residual, j, adjacency[j]))
                 ):
                     fail = "cg_reject"
                     break
@@ -336,12 +338,3 @@ def __getattr__(name: str):
     from .constrained import _cg_counts
     globals()[name] = _cg_counts
     return _cg_counts
-
-
-def _draw_stub(residual: list[int], r: int) -> int:
-    for v, count in enumerate(residual, start=1):
-        if r < count:
-            return v
-        r -= count
-    raise AssertionError("stub index out of range")
-

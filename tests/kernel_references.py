@@ -2,7 +2,8 @@
 
 ``erdos_gallai_reference`` sums min(k, d_i) afresh for every k,
 ``havel_hakimi_reference`` rebuilds and re-sorts the active list for every
-focal node, ``molloy_reed_reference`` runs the public ``cg_test`` on the
+focal node, ``molloy_reed_reference`` scans the residuals for every stub
+it draws (``draw_stub_reference``) and runs the public ``cg_test`` on the
 whole residual list after every connection, ``estimate_reference`` weighs
 each draw by the branch sizes of the labelled tree walk,
 ``groupings_reference`` builds each child multiset of A(d) as a sorted
@@ -33,7 +34,6 @@ from graphreal.sampling import (
     SplitMix64,
     _check_graphical,
     _draw,
-    _draw_stub,
     _float_sqrt,
 )
 
@@ -97,6 +97,15 @@ def havel_hakimi_reference(
     return LabeledGraph(n, edges)
 
 
+def draw_stub_reference(residual, r):
+    """The node of stub r, found by scanning the residuals in label order."""
+    for v, count in enumerate(residual, start=1):
+        if r < count:
+            return v
+        r -= count
+    raise AssertionError("stub index out of range")
+
+
 def molloy_reed_reference(d, seed, early_reject=False, budget=10_000_000, stream=0):
     """Molloy-Reed stub matching with ``cg_test`` after every connection."""
     degs = as_residuals(d)
@@ -114,9 +123,9 @@ def molloy_reed_reference(d, seed, early_reject=False, budget=10_000_000, stream
             if drawn >= budget:
                 raise RestartBudgetExceeded(f"exceeded {budget} stub pairings", stats)
             drawn += 1
-            i = _draw_stub(residual, rng.randrange(remaining))
+            i = draw_stub_reference(residual, rng.randrange(remaining))
             residual[i - 1] -= 1
-            j = _draw_stub(residual, rng.randrange(remaining - 1))
+            j = draw_stub_reference(residual, rng.randrange(remaining - 1))
             residual[i - 1] += 1
             if i == j:
                 fail = "self_loop"

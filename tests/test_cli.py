@@ -202,6 +202,19 @@ class TestSample:
         assert len(stats_line) == 1
         assert "cg_rejects=" in stats_line[0]
 
+    @pytest.mark.parametrize("text, graph", [
+        ("0", "graph n=1 m=0\n"),
+        ("0 0 0", "graph n=3 m=0\n"),
+        ("1 1", "graph n=2 m=1\n1 2\n"),
+    ])
+    @pytest.mark.parametrize("early_reject", [False, True])
+    def test_mr_with_few_stubs(self, text, graph, early_reject):
+        # Zero-degree nodes are stripped, so "0" and "0 0 0" reach the
+        # sampler with no node at all.
+        argv = ["sample", "-s", text, "--method", "mr", "--seed", "3"]
+        argv += ["--early-reject"] if early_reject else []
+        assert invoke(argv) == (0, graph + "restarts=0 cg_rejects=0\n\n", "")
+
     def test_deterministic(self):
         argv = ["sample", "-s", "3 3 2 2 2 2 2 2", "--samples", "3", "--seed", "7"]
         assert invoke(argv) == invoke(argv)

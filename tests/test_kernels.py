@@ -6,7 +6,8 @@ construction the reference's edge set (or its error type), ``cg_test`` and
 its residual-count kernel the verdict of the explicit
 leftmost-restricted set, reduction and Erdos-Gallai composition,
 Molloy-Reed sampling the graphs and statistics of the reference that runs
-``cg_test`` after every connection, and the groupings of A(d) on degree
+``cg_test`` after every connection, its stub tree the node that the
+reference's scan of the residuals finds, and the groupings of A(d) on degree
 counts the picks, ways and child multisets of the sorted-tuple reference.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 from helpers import HH_GAP_SEQUENCE, exhaustive_family, graphical_family
 from kernel_references import (
+    draw_stub_reference,
     erdos_gallai_reference,
     groupings_reference,
     havel_hakimi_reference,
@@ -24,7 +26,7 @@ from kernel_references import (
 )
 
 from graphreal import sampling
-from graphreal.constrained import cg_test, leftmost_restricted, reduce_by_set
+from graphreal.constrained import _cg_counts, cg_test, leftmost_restricted, reduce_by_set
 from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
 from graphreal.enumeration import _groupings, _key, count_realizations
 from graphreal.graphicality import (
@@ -35,6 +37,7 @@ from graphreal.graphicality import (
     havel_hakimi_construct,
 )
 from graphreal.oracle import OracleQuery, oracle_exists
+from graphreal.stubs import _stub_tree, _take_stub
 
 
 def outcome(fn, *args):
@@ -243,6 +246,31 @@ class TestCgKernel:
             with pytest.raises(InvalidSet):
                 oracle_exists(OracleQuery((1, 1), forbidden_star=star))
 
+    def test_focal_of_residual_zero_matches_oracle(self):
+        # Each member of graphical_family(8) with one even degree set to 0,
+        # so that the sum stays even; some of these views are not graphical.
+        # With no stub to move, the kernel decides on the counts as they are,
+        # for whatever forbidden set: the empty one, every other node, and a
+        # seeded subset.
+        rng = random.Random(16)
+        views = {seq[:j] + (0,) + seq[j + 1:]
+                 for seq in graphical_family(8) for j, v in enumerate(seq) if v % 2 == 0}
+        verdicts = set()
+        for view in sorted(views):
+            n = len(view)
+            counts = _residual_counts(view)
+            for i in range(1, n + 1):
+                if view[i - 1]:
+                    continue
+                others = [j for j in range(1, n + 1) if j != i]
+                for x in ((), others, rng.sample(others, rng.randint(1, n - 1))):
+                    star = ForbiddenSet(i, frozenset(x))
+                    want = oracle_exists(OracleQuery(view, forbidden_star=star))
+                    assert _cg_counts(counts, view, i, x) == want, (view, i, x)
+                    assert cg_test(view, i, star) == want, (view, i, x)
+                    verdicts.add(want)
+        assert verdicts == {False, True}
+
     def test_molloy_reed_verdicts_match_composition(self, monkeypatch):
         # Every state early rejection tests, rejected ones included, gets
         # the verdict of the explicit composition.
@@ -315,6 +343,27 @@ class TestGroupingsKernel:
 
 
 class TestMolloyReedKernel:
+    def test_stub_tree_matches_scan(self):
+        # Random residuals, zeros included, n from 1 to 70: after each stub
+        # taken out, the tree finds the node of every stub as the scan does.
+        rng = random.Random(16)
+        for _ in range(150):
+            n = rng.randint(1, 70)
+            residual = [rng.choice((0, 1, 2, rng.randint(0, 6))) for _ in range(n)]
+            tree = _stub_tree(residual)
+            drops = rng.choice((0, 5, sum(residual)))
+            while True:
+                total = sum(residual)
+                got = [_take_stub(tree[:], r) for r in range(total)]
+                assert got == [draw_stub_reference(residual, r) for r in range(total)]
+                if not (total and drops):
+                    break
+                drops -= 1
+                r = rng.randrange(total)
+                v = _take_stub(tree, r)
+                assert v == draw_stub_reference(residual, r)
+                residual[v - 1] -= 1
+
     @pytest.mark.parametrize("early_reject", [False, True])
     def test_family_matches_reference(self, early_reject):
         for seq in mr_views():
