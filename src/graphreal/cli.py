@@ -30,7 +30,7 @@ from .core import (
     parse_sequence,
     validate_input_sequence,
 )
-from .graphicality import NodeSelectionPolicy, erdos_gallai_test, havel_hakimi_construct
+from .graphicality import NodeSelectionPolicy, erdos_gallai_test
 
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
@@ -148,16 +148,16 @@ class _Emitter(contextlib.AbstractContextManager):
     """Writes graphs on 1..n to ``out`` in blocks of at least 64 KiB: each the
     text of ``format_graph`` or its JSON line (README), a newline and ``tail``.
 
-    ``graph`` writes a finished graph on the labels of ``d`` row by row: its
-    edges are bucketed by their smaller input position, each row is sorted as
-    ints and written under one prefix, from label text made once per emitter.
-    ``edges`` writes the sorted (min, max) pairs of input positions of a walk
-    leaf, with ``text`` caching edge text past a block's first graph.
+    ``edges`` writes sorted (min, max) pairs of input positions, with ``text``
+    caching edge text past a block's first graph when ``cache``; ``graph``
+    writes a graph on the labels of ``d`` through it, uncached, since sampled
+    graphs share few edges.  ``rows`` writes ``construct``'s text from
+    rows of input positions (row a: the larger neighbours of a), each row
+    sorted and written under one prefix, from position text made there.
     """
 
     def __init__(self, out, n: int, d, fmt: str):
         self.out, self.names, self.text = out, (0, *d.permutation), {}
-        self.labels = list(map(str, range(n + 1)))  # the text of each position
         self.json = fmt == "jsonlines"
         self.head = '{"n":%d,"edges":[' % n if self.json else f"graph n={n} m="
         self.parts, self.size = [], 0
@@ -170,30 +170,25 @@ class _Emitter(contextlib.AbstractContextManager):
     __exit__ = flush
 
     def graph(self, g: LabeledGraph, tail: str) -> None:
-        if self.size >= 1 << 16:  # as in ``edges``
-            self.flush()
-        names, labels = self.names, self.labels
-        rows = [[] for _ in labels]
-        for u, v in g.edges:
-            if (a := names[u]) < (b := names[v]):
-                rows[a].append(b)
-            else:
-                rows[b].append(a)
-        # One string per row a: "a b\n" per edge, or "[a,b]" per edge and commas.
-        start, sep, glue, end = (("[", ",", "],[", "]") if self.json
-                                 else ("", " ", "\n", "\n"))
-        chunks = []
-        for row, label in zip(rows, labels):
-            if row:
-                row.sort()
-                prefix = label + sep
-                bs = map(labels.__getitem__, row)
-                chunks.append(start + prefix + (glue + prefix).join(bs) + end)
-        self.parts += ((self.head, ",".join(chunks), "]}\n" + tail) if self.json
-                       else (f"{self.head}{len(g.edges)}\n", "".join(chunks), tail))
-        self.size += len(self.parts[-2])
+        names = self.names
+        self.edges(sorted([(a, b) if (a := names[u]) < (b := names[v]) else (b, a)
+                           for u, v in g.edges]), tail, False)
 
-    def edges(self, edges: list, tail: str) -> None:
+    def rows(self, rows: list, tail: str) -> None:
+        labels = list(map(str, range(len(rows))))
+        self.parts.append(f"{self.head}{sum(map(len, rows))}\n")
+        for label, row in zip(labels, rows):
+            if row:  # one string per row: "a b\n" per edge
+                row.sort()
+                prefix = label + " "
+                text = prefix + ("\n" + prefix).join(map(labels.__getitem__, row)) + "\n"
+                self.parts.append(text)
+                self.size += len(text)
+                if self.size >= 1 << 16:  # written once a block is full
+                    self.flush()
+        self.parts.append(tail)
+
+    def edges(self, edges: list, tail: str, cache: bool = True) -> None:
         if self.size >= 1 << 16:  # one pipe buffer of edge text; written here,
             self.flush()  # so no graph's lines are held while a block is joined
         try:
@@ -201,7 +196,7 @@ class _Emitter(contextlib.AbstractContextManager):
         except KeyError:  # an edge not seen before: make the text of each
             lines = ([f"[{u},{v}]" for u, v in edges] if self.json
                      else [f"{u} {v}\n" for u, v in edges])
-            if self.parts:
+            if self.parts and cache:
                 self.text.update(zip(edges, lines))
         # A record's head, edge text and tail are joined only with their block.
         self.parts += ((self.head, ",".join(lines), "]}\n" + tail) if self.json
@@ -243,9 +238,10 @@ def _cmd_test(args, raw, out) -> int:
 
 
 def _cmd_construct(args, raw, out) -> int:
+    from .construction import _hh_rows
     d = validate_input_sequence(raw)
     with _Emitter(out, len(raw), d, "text") as emitter:
-        emitter.graph(havel_hakimi_construct(d, args.policy), "\n")
+        emitter.rows(_hh_rows(d, args.policy, emitter.names), "\n")
     return 0
 
 

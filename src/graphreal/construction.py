@@ -1,0 +1,99 @@
+"""Havel-Hakimi construction as rows, loaded by ``graphreal construct`` and by
+``havel_hakimi_construct`` on first use.
+
+Row a of a graph lists the names b > a of the neighbours of the node named
+a, so the command line can write the rows of a realization without its
+edges ever being tuples, a list or a set.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+
+from .core import (
+    DegreeTooLarge,
+    InvalidArgument,
+    InvalidDegree,
+    NotGraphical,
+    as_residuals,
+)
+from .graphicality import NodeSelectionPolicy
+
+
+def _hh_rows(d, policy, names=None) -> list[list[int]]:
+    """The rows, each in no order, of ``havel_hakimi_construct(d, policy)``
+    with node v named ``names[v]`` (v itself by default), sized by the
+    largest name; raises what that function raises.
+
+    Active nodes sit in buckets by residual degree, each bucket in label
+    order, so the focal node and its targets are bucket heads.  No target
+    can already be a neighbour of the focal node: every earlier edge has an
+    earlier focal node at one end, and that node's residual is 0.
+    """
+    try:
+        policy = NodeSelectionPolicy(policy)
+    except ValueError:
+        raise InvalidArgument(f"unknown policy {policy!r}") from None
+    degs = as_residuals(d)
+    n = len(degs)
+    if degs and min(degs) < 0:
+        raise InvalidDegree(f"negative degree {min(degs)}")
+    if degs and degs[0] > n - 1:
+        raise DegreeTooLarge(f"degree {degs[0]} exceeds n-1 = {n - 1}")
+    if degs and max(degs) > n - 1:  # before the buckets are sized by it
+        raise NotGraphical(f"{list(degs)} is not graphical")
+    names = tuple(range(n + 1)) if names is None else names
+    rows: list[list[int]] = [[] for _ in range(max(names) + 1)]
+    residual = list(degs)
+    buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
+    for v, r in enumerate(degs, start=1):
+        if r:
+            buckets[r].append(v)
+    top, low, nxt = len(buckets) - 1, 1, 0
+    while True:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
+            return rows
+        if policy is NodeSelectionPolicy.MAX_RESIDUAL:
+            focal = buckets[top].pop(0)
+        elif policy is NodeSelectionPolicy.MIN_RESIDUAL:
+            while not buckets[low]:
+                low += 1
+            focal = buckets[low].pop(0)
+        else:
+            while not residual[nxt]:
+                nxt += 1
+            focal = nxt + 1
+            bucket = buckets[residual[nxt]]
+            del bucket[bisect_left(bucket, focal)]
+        need = residual[focal - 1]
+        residual[focal - 1] = 0
+        # Take the targets top bucket first; move them one bucket down,
+        # lowest bucket first, so that no node moves twice.
+        takes = []
+        r = top
+        while need and r:
+            k = min(need, len(buckets[r]))
+            if k:
+                takes.append((r, k))
+                need -= k
+            r -= 1
+        if need:
+            raise NotGraphical(f"{list(degs)} is not graphical")
+        a = names[focal]
+        for r, k in reversed(takes):
+            bucket = buckets[r]
+            moved = bucket[:k]
+            del bucket[:k]
+            for v in moved:
+                residual[v - 1] = r - 1
+                if a < (b := names[v]):
+                    rows[a].append(b)
+                else:
+                    rows[b].append(a)
+            if r > 1:
+                below = buckets[r - 1]
+                below += moved
+                below.sort()
+            low = min(low, max(r - 1, 1))

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .core import (
     DegreeSequence,
     DegreeTooLarge,
-    InvalidArgument,
     InvalidDegree,
     LabeledGraph,
     NotGraphical,
@@ -136,71 +134,11 @@ def havel_hakimi_construct(
     Raises InvalidArgument for any other policy, InvalidDegree on a
     negative entry and NotGraphical when no valid attachment exists.
 
-    Active nodes sit in buckets by residual degree, each bucket in label
-    order, so the focal node and its targets are bucket heads.  No target
-    can already be a neighbour of the focal node: every earlier edge has an
-    earlier focal node at one end, and that node's residual is 0.
+    The graph is made from the rows of ``construction._hh_rows``, which
+    ``graphreal construct`` writes as they are.
     """
-    try:
-        policy = NodeSelectionPolicy(policy)
-    except ValueError:
-        raise InvalidArgument(f"unknown policy {policy!r}") from None
-    degs = as_residuals(d)
-    n = len(degs)
-    if degs and min(degs) < 0:
-        raise InvalidDegree(f"negative degree {min(degs)}")
-    if degs and degs[0] > n - 1:
-        raise DegreeTooLarge(f"degree {degs[0]} exceeds n-1 = {n - 1}")
-    if degs and max(degs) > n - 1:  # before the buckets are sized by it
-        raise NotGraphical(f"{list(degs)} is not graphical")
-    residual = list(degs)
-    buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
-    for v, r in enumerate(degs, start=1):
-        if r:
-            buckets[r].append(v)
-    top, low, nxt = len(buckets) - 1, 1, 0
-    edges: list[tuple[int, int]] = []
-    while True:
-        while top and not buckets[top]:
-            top -= 1
-        if not top:
-            break
-        if policy is NodeSelectionPolicy.MAX_RESIDUAL:
-            focal = buckets[top].pop(0)
-        elif policy is NodeSelectionPolicy.MIN_RESIDUAL:
-            while not buckets[low]:
-                low += 1
-            focal = buckets[low].pop(0)
-        else:
-            while not residual[nxt]:
-                nxt += 1
-            focal = nxt + 1
-            bucket = buckets[residual[nxt]]
-            del bucket[bisect_left(bucket, focal)]
-        need = residual[focal - 1]
-        residual[focal - 1] = 0
-        # Take the targets top bucket first; move them one bucket down,
-        # lowest bucket first, so that no node moves twice.
-        takes = []
-        r = top
-        while need and r:
-            k = min(need, len(buckets[r]))
-            if k:
-                takes.append((r, k))
-                need -= k
-            r -= 1
-        if need:
-            raise NotGraphical(f"{list(degs)} is not graphical")
-        for r, k in reversed(takes):
-            bucket = buckets[r]
-            moved = bucket[:k]
-            del bucket[:k]
-            for v in moved:
-                residual[v - 1] = r - 1
-                edges.append((focal, v) if focal < v else (v, focal))
-            if r > 1:
-                below = buckets[r - 1]
-                below += moved
-                below.sort()
-            low = min(low, max(r - 1, 1))
-    return LabeledGraph._trusted(n, edges)
+    from .construction import _hh_rows
+
+    rows = _hh_rows(d, policy)
+    pairs = map(zip, map(repeat, range(len(rows))), rows)  # (a, b) for b in row a
+    return LabeledGraph._trusted(len(rows) - 1, chain.from_iterable(pairs))

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ from helpers import ESTIMATE_SHAPED, unlimited_int_digits
 from kernel_references import estimate_reference
 
 from graphreal.cli import _Emitter, run
+from graphreal.construction import _hh_rows
 from graphreal.core import (
     LabeledGraph,
     format_graph,
@@ -548,11 +550,12 @@ class TestEmittedBytes:
         assert invoke(argv) == (0, want, "")
 
     def test_large_graph_written_in_little_memory(self):
-        # One seeded G(1500, 1/64), built under the "fixed" policy before
-        # tracing starts, so the peak is what writing it adds above the graph.
-        # 0.75 MB measured on CPython 3.11 (2.35 MB when all relabelled edge
-        # pairs were sorted at once); the bound leaves a third for other
-        # interpreter versions.
+        # The rows of one seeded G(1500, 1/64) under the "fixed" policy, built
+        # before tracing starts, so the peak is what writing them adds: label
+        # text and one block at a time, with no second copy of the record.
+        # 0.34 MB measured on CPython 3.11, of which 0.15 MB is the output
+        # that ``written`` keeps (0.75 MB when the writer took a graph and
+        # 2.35 MB when it sorted every relabelled pair at once).
         rng, n = random.Random(1), 1500
         raw = [0] * n
         for u, v in itertools.combinations(range(n), 2):
@@ -562,17 +565,74 @@ class TestEmittedBytes:
         d = validate_input_sequence(raw)
         g = havel_hakimi_construct(d, "fixed")
         assert g.m > 17000
+        rows = _hh_rows(d, "fixed", (0, *d.permutation))
 
-        written = []  # holds the emitter's own blocks, so it adds no text
+        written = []
         tracemalloc.start()
         try:
             with _Emitter(SimpleNamespace(write=written.append), n, d, "text") as emitter:
-                emitter.graph(g, "\n")
+                emitter.rows(rows, "\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert "".join(written) == format_graph(self.in_input_labels(g, raw)) + "\n\n"
-        assert peak < 1_000_000
+        assert len(written) > 2  # blocks of at least 64 KiB, not one record
+        assert peak < 700_000
+
+    # The bench's Molloy-Reed shape: 60 twos and 240 ones, shuffled.
+    MR_SHAPE = [2] * 60 + [1] * 240
+    random.Random(300).shuffle(MR_SHAPE)
+    MR_300 = " ".join(map(str, MR_SHAPE))
+
+    def test_sampled_graphs_leave_no_edge_text_cached(self):
+        # Walk leaves share their edges, sampled graphs few: a long batch of
+        # samples must not keep the text of every edge it wrote.
+        d = validate_input_sequence(self.MR_SHAPE)
+        out = StringIO()
+        with _Emitter(out, len(self.MR_SHAPE), d, "text") as emitter:
+            for k in range(3):
+                emitter.graph(molloy_reed_sample(d, 5, stream=k)[0], "\n")
+            assert emitter.parts and emitter.text == {}
+        assert out.getvalue().count("graph n=300 m=180\n") == 3
+
+    @pytest.mark.parametrize("policy", NodeSelectionPolicy)
+    def test_construct_builds_no_graph(self, policy, monkeypatch):
+        # construct writes the builder's rows: no edge set, no LabeledGraph.
+        text = "2 0 3 1 2 0 2 2 5 1 0 4 3 1 0"
+        want = invoke(["construct", "-s", text, "--policy", policy.value])
+
+        def refuse(*args):
+            raise AssertionError("construct built a LabeledGraph")
+
+        monkeypatch.setattr(LabeledGraph, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(LabeledGraph, "__init__", refuse)
+        assert want[0] == 0
+        assert invoke(["construct", "-s", text, "--policy", policy.value]) == want
+        with pytest.raises(AssertionError):
+            havel_hakimi_construct(validate_input_sequence([int(x) for x in text.split()]))
+
+    @pytest.mark.parametrize("text, fmt, want", [
+        ("", "text", (2, "", "error: empty degree-sequence line\n")),
+        ("0", "text", (0, "graph n=1 m=0\nrestarts=0 cg_rejects=0\n\n" * 3, "")),
+        ("0", "jsonlines", (0, '{"n":1,"edges":[]}\nrestarts=0 cg_rejects=0\n\n' * 3, "")),
+        ("0 0", "text", (0, "graph n=2 m=0\nrestarts=0 cg_rejects=0\n\n" * 3, "")),
+        ("1 1", "text", (0, "graph n=2 m=1\n1 2\nrestarts=0 cg_rejects=0\n\n" * 3, "")),
+        ("1 1", "jsonlines",
+         (0, '{"n":2,"edges":[[1,2]]}\nrestarts=0 cg_rejects=0\n\n' * 3, "")),
+        (MR_300, "text",
+         "e74f768edba764b0e614b3006ad20b88a313daa5bb545509f02016ed940b9518"),
+        (MR_300, "jsonlines",
+         "c3110a33b680d552ba107a96b8927d2f06d40527d7409e52ff06db6a5ece74e8"),
+    ])
+    def test_mr_sample_pinned(self, text, fmt, want):
+        # The bytes that the row writer wrote before sorted pairs replaced it,
+        # for n = 0..2 and 300 input positions; at 300 by their SHA-256.
+        got = invoke(["sample", "-s", text, "--method", "mr", "--early-reject",
+                      "--samples", "3", "--seed", "5", "--format", fmt])
+        if isinstance(want, str):
+            code, out, err = got
+            got, want = (code, hashlib.sha256(out.encode()).hexdigest(), err), (0, want, "")
+        assert got == want
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

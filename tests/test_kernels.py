@@ -2,7 +2,8 @@
 
 The Erdos-Gallai test must give the reference's whole report and its kernel
 on degree counts the reference's first violated k, the Havel-Hakimi
-construction the reference's edge set (or its error type), ``cg_test`` and
+construction the reference's edge set (or its error type), its row builder
+the public graph renamed (or the public error), ``cg_test`` and
 its residual-count kernel the verdict of the explicit
 leftmost-restricted set, reduction and Erdos-Gallai composition,
 Molloy-Reed sampling the graphs and statistics of the reference that runs
@@ -26,8 +27,17 @@ from kernel_references import (
 )
 
 from graphreal import sampling
+from graphreal.construction import _hh_rows
 from graphreal.constrained import _cg_counts, cg_test, leftmost_restricted, reduce_by_set
-from graphreal.core import ForbiddenSet, GraphRealError, InvalidDegree, InvalidSet
+from graphreal.core import (
+    DegreeTooLarge,
+    ForbiddenSet,
+    GraphRealError,
+    InvalidArgument,
+    InvalidDegree,
+    InvalidSet,
+    NotGraphical,
+)
 from graphreal.enumeration import _groupings, _key, count_realizations
 from graphreal.graphicality import (
     NodeSelectionPolicy,
@@ -170,6 +180,84 @@ class TestHavelHakimiKernel:
     def test_negative_entry_raises(self, policy):
         with pytest.raises(InvalidDegree):
             havel_hakimi_construct((1, -1, 1), policy)
+
+
+def raised(fn, *args):
+    """The type and message of the library error ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except GraphRealError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def renamed_rows(g, names):
+    """Row a: the sorted names b > a of the neighbours of the node named a."""
+    rows = [[] for _ in range(max(names) + 1)]
+    for u, v in g.edges:
+        a, b = sorted((names[u], names[v]))
+        rows[a].append(b)
+    return [sorted(row) for row in rows]
+
+
+class TestHavelHakimiRows:
+    """The row builder behind ``construct`` against the public graph, renamed."""
+
+    @staticmethod
+    def sequences():
+        rng = random.Random(17)
+        yield from graphical_family(7)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            top = rng.randint(0, n)
+            seq = [rng.randint(0, top) for _ in range(n)]
+            if sum(seq) % 2:
+                seq[0] += 1
+            yield tuple(seq)
+
+    @pytest.mark.parametrize("policy", list(NodeSelectionPolicy))
+    def test_rows_are_the_graph_renamed(self, policy):
+        rng = random.Random(7)
+        built = 0
+        for seq in self.sequences():
+            # Names are distinct positions, some skipped as zero degrees are.
+            n = len(seq)
+            names = (0, *rng.sample(range(1, n + rng.randint(0, 3) + 1), n))
+            try:
+                g = havel_hakimi_construct(seq, policy)
+            except GraphRealError:
+                assert raised(_hh_rows, seq, policy, names) == raised(
+                    havel_hakimi_construct, seq, policy)
+                continue
+            rows = _hh_rows(seq, policy, names)
+            assert [sorted(row) for row in rows] == renamed_rows(g, names), seq
+            built += 1
+        assert built > 400
+
+    @pytest.mark.parametrize("seq, policy, error, message", [
+        ((1, -1, 1), "max", InvalidDegree, "negative degree -1"),
+        ((1, 1.5), "max", InvalidDegree, "'float' object cannot be interpreted as an integer"),
+        ((3, 1, 1), "min", DegreeTooLarge, "degree 3 exceeds n-1 = 2"),
+        # A later degree above n - 1 is refused before it sizes the buckets.
+        ((1, 10**12, 1), "fixed", NotGraphical, "[1, 1000000000000, 1] is not graphical"),
+        ((1, 1, 1), "max", NotGraphical, "[1, 1, 1] is not graphical"),
+        ((3, 3, 1, 1), "fixed", NotGraphical, "[3, 3, 1, 1] is not graphical"),
+        ((1, 1), "bogus", InvalidArgument, "unknown policy 'bogus'"),
+        ((1, 1), None, InvalidArgument, "unknown policy None"),
+    ])
+    def test_errors_are_the_public_errors(self, seq, policy, error, message):
+        assert raised(havel_hakimi_construct, seq, policy) == (error, message)
+        assert raised(_hh_rows, seq, policy) == (error, message)
+        assert raised(_hh_rows, seq, policy, range(len(seq) + 1)) == (error, message)
+
+    def test_identity_names_by_default(self):
+        for seq in graphical_family(5):
+            for policy in NodeSelectionPolicy:
+                rows = _hh_rows(seq, policy)
+                assert len(rows) == len(seq) + 1
+                assert rows == _hh_rows(seq, policy, range(len(seq) + 1))
+                assert [sorted(row) for row in rows] == renamed_rows(
+                    havel_hakimi_construct(seq, policy), range(len(seq) + 1))
 
 
 def cg_composition(d, i, x):

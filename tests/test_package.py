@@ -103,11 +103,15 @@ class TestStartUp:
                 if m.startswith("graphreal.")} == set()
 
     def test_test_loads_only_what_it_runs(self):
-        assert not cli_modules(["test", "-s", "1 1"]) & UNUSED_BY_TEST
+        added = cli_modules(["test", "-s", "1 1"])
+        assert not added & {*UNUSED_BY_TEST, "graphreal.construction"}
 
     def test_construct_loads_only_what_it_runs(self):
-        # Havel-Hakimi and the row writer need nothing beyond core and graphicality.
-        assert not cli_modules(["construct", "-s", "3 0 2 2 1 2"]) & UNUSED_BY_TEST
+        # The Havel-Hakimi rows and their writer need only core, graphicality
+        # and the construction module, which no other subcommand loads.
+        added = cli_modules(["construct", "-s", "3 0 2 2 1 2"])
+        assert "graphreal.construction" in added
+        assert not added & UNUSED_BY_TEST
 
     def test_forbid_adds_only_the_constrained_module(self):
         added = cli_modules(["test", "-s", "1 1", "--forbid", "1:"])
