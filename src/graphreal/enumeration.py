@@ -6,8 +6,8 @@ adjacency set for it in decreasing colex order and descends on the reduced
 residuals, producing each labeled graph once.  A(d) is derived from its
 groupings: how many members a set takes from each class of equal degree.
 They are keyed by ``_key``: entry v counts the nodes of degree v, entry 0 is
-0 and the last entry is nonzero.  ``_walk`` serves enumeration and the
-weighted sampler; the count and the estimate descend the keys alone.
+0 and the last entry is nonzero.  ``_walk`` serves enumeration, ``_draw``
+the weighted sampler; the count and the estimate descend the keys alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class CountResult(_Record):
 def _focal_sequence(d) -> tuple[int, ...]:
     """The positive part of ``d``, which must be nonincreasing (else
     InvalidDegree), graphical and nonzero (else NotGraphical)."""
-    seq = tuple(x for x in DegreeSequence(as_residuals(d)).degrees if x > 0)
+    seq = tuple(x for x in DegreeSequence(d).degrees if x > 0)
     if not seq or not erdos_gallai_test(seq).graphical:
         raise NotGraphical(f"no adjacency set of node 1 keeps {list(seq)} graphical")
     return seq
@@ -155,6 +155,26 @@ def _nth_set(groupings, r: int) -> tuple[int, ...]:
     return tuple(members)
 
 
+def _draw(degs, pick) -> tuple[tuple, tuple[int, ...]]:
+    """``(edges, branch_sizes)`` of one root-to-leaf path of the tree below
+    the graphical residuals ``degs``: at each level ``pick(k)`` draws an
+    index into its ``k`` sets, which ``_nth_set`` maps to a set without
+    building A(d).  Each edge is a (min, max) pair of labels."""
+    residual, edges, sizes = list(degs), [], []
+    while True:
+        labels, seq = _sorted_view(residual)
+        if not seq:
+            return tuple(edges), tuple(sizes)
+        size, groupings = _groupings(_key(seq))
+        sizes.append(size)
+        a = labels[0]
+        for p in _nth_set(groupings, pick(size)):
+            b = labels[p - 1]
+            residual[b - 1] -= 1
+            edges.append((a, b) if a < b else (b, a))
+        residual[a - 1] = 0
+
+
 def all_adjacency_sets(d) -> list[AdjacencySet]:
     """The set A(d) for node 1, ordered colex-decreasing starting at A_R.
     ``d`` must be nonincreasing; nodes of degree 0 are never members."""
@@ -173,27 +193,25 @@ def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
 _KEEP = 1 << 16  # members and pairs that the set lists of one walk may hold
 
 
-def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+def _walk(degs, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """Depth-first walk of the construction tree below the residuals ``degs``.
 
     Yields ``(edges, branch_sizes)`` at each leaf, ``branch_sizes`` holding
     the number of adjacency sets offered at each level of the path; a
-    non-graphical ``degs`` yields nothing.  With ``pick`` None every set is
-    taken in turn, in decreasing colex order; otherwise ``pick(k)`` draws an
-    index into the ``k`` sets of each level, which ``_nth_set`` maps to a set
-    without building A(d), down to one leaf.  Each edge is a (min, max) pair
-    of ``names[v]``; names leave the order of the leaves as it is.
+    non-graphical ``degs`` yields nothing.  Every set is taken in turn, in
+    decreasing colex order.  Each edge is a (min, max) pair of
+    ``names[v]``; names leave the order of the leaves as it is.
 
     A level whose top residual equals the edges left is forced: the other
     positive residuals are all 1, and the one set is the star of them all.
     Its leaf is yielded at once, branch size 1, with no sort and no stack
-    level.  Without ``pick``, a level offers its sets lazily from
-    ``_offers``, each with the position pairs that finish its path when its
-    child is such a star; the list is kept in ``known``, one per multiset,
-    once all of its sets were offered, and later levels on that multiset
-    walk the list.  The kept lists hold at most ``_KEEP`` members and pairs
-    in all, so memory stays bounded on a huge A(d).  The explicit stack has
-    no depth limit.
+    level.  Any other level offers its sets lazily from ``_offers``, each
+    with the position pairs that finish its path when its child is such a
+    star; the list is kept in ``known``, one per multiset, once all of its
+    sets were offered, and later levels on that multiset walk the list.
+    The kept lists hold at most ``_KEEP`` members and pairs in all, so
+    memory stays bounded on a huge A(d).  The explicit stack has no depth
+    limit.
     """
     if not erdos_gallai_test(degs).graphical:
         return
@@ -212,8 +230,6 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
     while True:
         left = m - len(edges)
         if left == max(residual):  # forced: the star from the top node
-            if pick is not None:
-                pick(1)
             hub = residual.index(left) + 1
             a = names[hub]
             yield (*edges, *[(a, b) if a < (b := names[v]) else (b, a)
@@ -225,8 +241,7 @@ def _walk(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]
                 size = len(offers)
             else:
                 size, groupings = _groupings(_key(seq))
-                offers = (_offers(seq, _adjacency_sets(groupings), known, room) if pick is None
-                          else [(_nth_set(groupings, pick(size)), None)])
+                offers = _offers(seq, _adjacency_sets(groupings), known, room)
             star_sizes = (*star_sizes[:-1], size, 1)
             stack.append([labels, iter(offers), (), seq[0], star_sizes])
         # Undo levels until one has a next set; finish each star child at

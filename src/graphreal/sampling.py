@@ -103,17 +103,6 @@ def _check_graphical(degs: tuple[int, ...]) -> None:
         raise NotGraphical(f"{list(degs)} is not graphical")
 
 
-def _draw(degs, rng: SplitMix64):
-    """``(edges, branch_sizes)`` of one root-to-leaf path of the tree,
-    uniform over the adjacency sets at each level; NotGraphical if there is
-    none.  A level with a single set draws nothing from ``rng``.
-    """
-    from .enumeration import _walk
-    for leaf in _walk(degs, lambda k: rng.randrange(k) if k > 1 else 0):
-        return leaf
-    raise NotGraphical(f"{list(degs)} is not graphical")
-
-
 def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     """Walk the construction tree root to leaf, uniform at each level.
 
@@ -121,9 +110,13 @@ def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     the branch counts along the path.  Deterministic given seed and
     stream index (one stream per sample in a batch).
     """
+    # Compiling enumeration is the call's memory peak: do it before fractions.
+    from .enumeration import _draw
     from fractions import Fraction
     degs = as_residuals(d)
-    edges, branch_sizes = _draw(degs, SplitMix64.stream(seed, stream))
+    rng = SplitMix64.stream(seed, stream)
+    _check_graphical(degs)
+    edges, branch_sizes = _draw(degs, lambda k: rng.randrange(k) if k > 1 else 0)
     return RealizationSample(
         LabeledGraph._trusted(len(degs), edges),
         Fraction(1, math.prod(branch_sizes)),
@@ -138,7 +131,7 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
     labelled residuals: at each level it draws the index of one of the
     |A(d)| sets, as ``sample_weighted`` does, and moves to the multiset that
     set leaves.  Draws and |A(d)| depend only on the multiset, so each weight
-    equals that of the labelled walk for the same seed.
+    equals that of ``sample_weighted``'s descent for the same seed.
 
     The call keeps its own table of the multisets its draws reach, filled
     as they first reach them.  A multiset with several groupings holds its

@@ -5,7 +5,7 @@
 focal node, ``molloy_reed_reference`` scans the residuals for every stub
 it draws (``draw_stub_reference``) and runs the public ``cg_test`` on the
 whole residual list after every connection, ``estimate_reference`` weighs
-each draw by the branch sizes of the labelled tree walk,
+each draw by the branch sizes of ``walk_reference``'s labelled walk,
 ``groupings_reference`` builds each child multiset of A(d) as a sorted
 tuple and runs ``erdos_gallai_test`` on it, and ``walk_reference`` sorts the
 residuals at every inner node of the construction tree, the star levels
@@ -33,7 +33,6 @@ from graphreal.sampling import (
     MrRunStats,
     SplitMix64,
     _check_graphical,
-    _draw,
     _float_sqrt,
 )
 
@@ -157,8 +156,11 @@ def estimate_reference(d, samples, seed) -> CountEstimate:
     the construction tree: each weight is the product of its branch sizes."""
     degs = as_residuals(d)
     _check_graphical(degs)
-    weights = [math.prod(_draw(degs, SplitMix64.stream(seed, i))[1])
-               for i in range(samples)]
+    weights = []
+    for i in range(samples):
+        rng = SplitMix64.stream(seed, i)
+        _, sizes = next(walk_reference(degs, lambda k: rng.randrange(k) if k > 1 else 0))
+        weights.append(math.prod(sizes))
     total, total_sq = sum(weights), sum(w * w for w in weights)
     if samples > 1:
         stderr = _float_sqrt(Fraction(

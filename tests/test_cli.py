@@ -413,6 +413,15 @@ def test_estimate_above_2_64_sets_at_one_level():
     assert proc.stdout == f"estimate={float(count):.6f} stderr=0.000000 exact=unknown\n"
 
 
+def weighted_shape(n):
+    """The bench's weighted-sampler shape on n nodes: 15 % ones, 15 % threes
+    and the rest twos, shuffled."""
+    tail = round(0.15 * n)
+    shape = [1] * tail + [2] * (n - 2 * tail) + [3] * tail
+    random.Random(n).shuffle(shape)
+    return " ".join(map(str, shape))
+
+
 @functools.cache
 def emitted(text, fmt, oracle=False):
     """The records ``enumerate -s text`` writes, made from the public API:
@@ -628,6 +637,36 @@ class TestEmittedBytes:
         # The bytes that the row writer wrote before sorted pairs replaced it,
         # for n = 0..2 and 300 input positions; at 300 by their SHA-256.
         got = invoke(["sample", "-s", text, "--method", "mr", "--early-reject",
+                      "--samples", "3", "--seed", "5", "--format", fmt])
+        if isinstance(want, str):
+            code, out, err = got
+            got, want = (code, hashlib.sha256(out.encode()).hexdigest(), err), (0, want, "")
+        assert got == want
+
+
+    W24, W32, W40 = map(weighted_shape, (24, 32, 40))
+
+    @pytest.mark.parametrize("text, fmt, want", [
+        ("0", "text", (0, "graph n=1 m=0\np=1/1\n\n" * 3, "")),
+        ("0", "jsonlines", (0, '{"n":1,"edges":[]}\np=1/1\n\n' * 3, "")),
+        ("0 0", "text", (0, "graph n=2 m=0\np=1/1\n\n" * 3, "")),
+        ("0 0", "jsonlines", (0, '{"n":2,"edges":[]}\np=1/1\n\n' * 3, "")),
+        ("1 1", "text", (0, "graph n=2 m=1\n1 2\np=1/1\n\n" * 3, "")),
+        ("1 1", "jsonlines", (0, '{"n":2,"edges":[[1,2]]}\np=1/1\n\n' * 3, "")),
+        ("2 2 2", "text", (0, "graph n=3 m=3\n1 2\n1 3\n2 3\np=1/1\n\n" * 3, "")),
+        ("2 2 2", "jsonlines",
+         (0, '{"n":3,"edges":[[1,2],[1,3],[2,3]]}\np=1/1\n\n' * 3, "")),
+        (W24, "text", "d0b312300bc49144a1abef89901201aa283ca7791ab72454da6f7b8fa4526daa"),
+        (W24, "jsonlines", "7b5b210c87875fe534171a51ae6e28f4dff0f2554851891afbe351c66edd5c23"),
+        (W32, "text", "01b825d099e8986e32d79b479d8f77269e27504b032ce9d40760544452859dd4"),
+        (W32, "jsonlines", "532f0d14a8944438f39abc35771776ca84b291dff1c878cbffdfd27113e0bce5"),
+        (W40, "text", "c36f09c2d0ae17339283d76b6190a4a167f76582fa72bc245fd2e895e39f8c2b"),
+        (W40, "jsonlines", "1ac07a329278e9f94eb603e964e2160aa13540fd203c989ad2b69be0dea89935"),
+    ])
+    def test_weighted_sample_pinned(self, text, fmt, want):
+        # Which graph and probability each seed yields, fixed in bytes, for
+        # n = 1..3 and the bench shapes; at those by their SHA-256.
+        got = invoke(["sample", "-s", text, "--method", "weighted",
                       "--samples", "3", "--seed", "5", "--format", fmt])
         if isinstance(want, str):
             code, out, err = got

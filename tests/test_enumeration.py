@@ -18,6 +18,7 @@ from graphreal import constrained, enumeration, sampling
 from graphreal.core import InvalidDegree, NotGraphical, graph_degree_sequence
 from graphreal.constrained import cg_test, colex_less
 from graphreal.enumeration import (
+    _draw,
     _walk,
     all_adjacency_sets,
     count_realizations,
@@ -217,10 +218,28 @@ def recorded(pick_log, seed):
     return pick
 
 
+def random_graphical(rng, count, max_n=30):
+    """``count`` degree sequences of random graphs on 1..max_n nodes, in
+    label order: mean degree below 4, and most with nodes of degree 0."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random() * 4 / n
+        degs = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                degs[u] += 1
+                degs[v] += 1
+        out.append(tuple(degs))
+    return out
+
+
 class TestWalkMatchesReference:
     # The walk that finishes star children from cached position pairs gives
     # the leaves of the walk that sorts the residuals at every inner node, in
-    # the same order, and calls pick with the same sizes at the same levels.
+    # the same order; the sampler's one-path descent gives the reference's
+    # leaf for the same picks, and calls pick with the same sizes at the
+    # same levels.
 
     def test_family_under_permuted_names(self):
         rng = random.Random(13)
@@ -230,10 +249,11 @@ class TestWalkMatchesReference:
             names = (0, *positions)
             assert leaves(_walk(seq, names=names)) == leaves(
                 walk_reference(seq, names=names)), seq
+        for seq in graphical_family(max_n=7) + random_graphical(random.Random(17), 300):
             for seed in range(3):
                 got, want = [], []
-                assert list(_walk(seq, recorded(got, seed), names)) == list(
-                    walk_reference(seq, recorded(want, seed), names)), (seq, seed)
+                assert _draw(seq, recorded(got, seed)) == next(
+                    walk_reference(seq, recorded(want, seed))), (seq, seed)
                 assert got == want, (seq, seed)
 
     def test_bench_multiset_first_leaves(self):
@@ -244,7 +264,7 @@ class TestWalkMatchesReference:
         seq = (4,) * 6 + (3,) * 8
         for seed in range(20):
             got, want = [], []
-            assert list(_walk(seq, recorded(got, seed))) == list(
+            assert _draw(seq, recorded(got, seed)) == next(
                 walk_reference(seq, recorded(want, seed))), seed
             assert got == want, seed
 

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 
@@ -15,7 +16,7 @@ from helpers import (
     graphical_family,
     recursion_headroom,
 )
-from kernel_references import estimate_reference
+from kernel_references import estimate_reference, walk_reference
 
 from graphreal import enumeration, sampling
 from graphreal.core import (
@@ -25,7 +26,8 @@ from graphreal.core import (
     RestartBudgetExceeded,
     graph_degree_sequence,
 )
-from graphreal.enumeration import _groupings, _key, _walk, count_realizations, enumerate_all
+from graphreal.cli import run
+from graphreal.enumeration import _draw, _groupings, _key, count_realizations, enumerate_all
 from graphreal.graphicality import erdos_gallai_test
 from graphreal.sampling import (
     SplitMix64,
@@ -197,7 +199,7 @@ class TestSampleWeighted:
             sample_weighted((3, 2, 1), 0)
 
     def test_one_graphicality_test_per_sample(self, monkeypatch):
-        # The walk tests the input; nothing tests it again.
+        # sample_weighted tests the input; the descent does not test it again.
         calls = []
         for module in (sampling, enumeration):
             def counting(*args, real=module.erdos_gallai_test):
@@ -251,12 +253,15 @@ class TestSampleWeighted:
 
 
 def every_draw(seq):
-    """``(edges, branch_sizes)`` of the sampler's walk for every sequence of
-    drawn indices, counted like an odometer over the branch sizes."""
+    """``(edges, branch_sizes)`` of the sampler's descent for every sequence
+    of drawn indices, counted like an odometer over the branch sizes; each
+    equal to the reference walk's, with the same calls to pick."""
     path = []
     while True:
-        replay = iter(path)
-        edges, sizes = next(_walk(seq, lambda k: next(replay, 0)))
+        got, want = [], []
+        edges, sizes = _draw(seq, replayed(path, got))
+        assert (edges, sizes) == next(walk_reference(seq, replayed(path, want))), path
+        assert got == want, path
         yield edges, sizes
         path += [0] * (len(sizes) - len(path))
         while path and path[-1] + 1 == sizes[len(path) - 1]:
@@ -264,6 +269,47 @@ def every_draw(seq):
         if not path:
             return
         path[-1] += 1
+
+
+def replayed(path, pick_log):
+    """A pick that returns the indices of ``path``, then 0, and logs each
+    argument."""
+    replay = iter(path)
+
+    def pick(k):
+        pick_log.append(k)
+        return next(replay, 0)
+
+    return pick
+
+
+def test_weighted_sampling_never_walks(monkeypatch, tmp_path):
+    # Weighted sampling descends one path in ``_draw``: it gives the same
+    # samples, in the library and on the command line, when the enumeration
+    # walk refuses to run.
+    path = tmp_path / "seqs.txt"
+    path.write_text("2 2 2 2\n1 0 3 2 0 2 0 1 0 2 3 0\n3 2 1\n0\n")
+
+    def batch():
+        out, err = StringIO(), StringIO()
+        codes = [run(["sample", "--method", "weighted", "--samples", "3", "--seed", "4",
+                      "--format", fmt, str(path)], out=out, err=err)
+                 for fmt in ("text", "jsonlines")]
+        return codes, out.getvalue(), err.getvalue()
+
+    family = graphical_family(max_n=6)
+    want = [sample_weighted(seq, seed) for seq in family for seed in range(2)]
+    want_cli = batch()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weighted sampling entered the enumeration walk")
+
+    monkeypatch.setattr(enumeration, "_walk", refuse)
+    with pytest.raises(AssertionError):
+        list(enumerate_with_probabilities((1, 1)))
+    assert [sample_weighted(seq, seed) for seq in family for seed in range(2)] == want
+    assert batch() == want_cli
+    assert want_cli[0] == [1, 1] and want_cli[2].count("error:") == 2
 
 
 class TestProbabilities:
