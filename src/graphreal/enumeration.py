@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import combinations, takewhile
 from math import comb, prod
 
@@ -72,7 +71,6 @@ def _key(degrees) -> tuple[int, ...]:
     return (0, *counts) if counts else ()
 
 
-@lru_cache(maxsize=1 << 14)
 def _groupings(key: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple, int, tuple], ...]]:
     """|A(d)| and the graphicality-preserving groupings of node 1's neighbours.
 
@@ -81,7 +79,8 @@ def _groupings(key: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple, int, tuple
     first.  A grouping is ``(picks, ways, child)``: ``picks`` holds
     ``(first position, size, k)`` for each class giving k >= 1 members,
     ``ways`` = prod C(size, k) counts the adjacency sets with those picks,
-    and ``child`` is the key of the multiset all of them leave.
+    and ``child`` is the key of the multiset all of them leave.  Nothing is
+    cached: each caller keeps what it still needs.
     """
     top = len(key) - 1
     classes, first = [], 2  # (degree, first position, size) of nodes 2..n
@@ -204,11 +203,12 @@ def _walk(degs, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
 
     A level whose top residual equals the edges left is forced: the other
     positive residuals are all 1, and the one set is the star of them all.
-    Its leaf is yielded at once, branch size 1, with no sort and no stack
-    level.  Any other level offers its sets lazily from ``_offers``, each
-    with the position pairs that finish its path when its child is such a
-    star; the list is kept in ``known``, one per multiset, once all of its
-    sets were offered, and later levels on that multiset walk the list.
+    A forced root yields its leaf at once, branch size 1, with no sort and
+    no stack level.  Every level offers its sets lazily from ``_offers``,
+    each with the position pairs that finish its path when its child is
+    such a star, so no forced level is ever descended into; the list is
+    kept in ``known``, one per multiset, once all of its sets were offered,
+    and later levels on that multiset walk the list.
     The kept lists hold at most ``_KEEP`` members and pairs in all, so
     memory stays bounded on a huge A(d).  The explicit stack has no depth
     limit.
@@ -221,6 +221,13 @@ def _walk(degs, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     if not m:
         yield (), ()
         return
+    if m == max(residual):  # forced: the star from the top node
+        hub = residual.index(m) + 1
+        a = names[hub]
+        yield tuple((a, b) if a < (b := names[v]) else (b, a)
+                    for v in range(len(residual), 0, -1)
+                    if residual[v - 1] and v != hub), (1,)
+        return
     edges: list[tuple[int, int]] = []
     # Per level: [labels, offers, set applied, top residual, star_sizes].
     stack: list[list] = []
@@ -228,22 +235,14 @@ def _walk(degs, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     room = [_KEEP]  # members and pairs the lists may still take
     star_sizes = (1,)  # the branch sizes of a leaf one forced level below
     while True:
-        left = m - len(edges)
-        if left == max(residual):  # forced: the star from the top node
-            hub = residual.index(left) + 1
-            a = names[hub]
-            yield (*edges, *[(a, b) if a < (b := names[v]) else (b, a)
-                             for v in range(len(residual), 0, -1)
-                             if residual[v - 1] and v != hub]), star_sizes
+        labels, seq = _sorted_view(residual)
+        if (offers := known.get(seq)) is not None:
+            size = len(offers)
         else:
-            labels, seq = _sorted_view(residual)
-            if (offers := known.get(seq)) is not None:
-                size = len(offers)
-            else:
-                size, groupings = _groupings(_key(seq))
-                offers = _offers(seq, _adjacency_sets(groupings), known, room)
-            star_sizes = (*star_sizes[:-1], size, 1)
-            stack.append([labels, iter(offers), (), seq[0], star_sizes])
+            size, groupings = _groupings(_key(seq))
+            offers = _offers(seq, _adjacency_sets(groupings), known, room)
+        star_sizes = (*star_sizes[:-1], size, 1)
+        stack.append([labels, iter(offers), (), seq[0], star_sizes])
         # Undo levels until one has a next set; finish each star child at
         # once, and descend into the first other child.
         while stack:
@@ -337,25 +336,34 @@ def count_realizations(d) -> CountResult:
     per degree: the count is invariant under relabeling (any permutation of
     labels bijects the realization sets), so it depends only on the
     multiset.  The multisets still to count are kept on an explicit stack,
-    so long chains do not hit Python's recursion limit.
+    so long chains do not hit Python's recursion limit.  A multiset's
+    groupings are made when it is first expanded and dropped once its count
+    is memoised, so the call holds only those of the multisets on its stack,
+    and nothing once it returns.
     """
     degs = as_residuals(d)
     if not erdos_gallai_test(degs).graphical:
         return CountResult(0, 0, 0)
     key = _key(degs)
     memo: dict[tuple[int, ...], int] = {(): 1}
+    held: dict[tuple[int, ...], tuple] = {}  # groupings of multisets not yet counted
     lookups = 0  # references to nonempty children
     stack = [key] if key else []
     while stack:
-        _, groupings = _groupings(stack[-1])
+        seq = stack[-1]
+        if seq in memo:  # a multiset may be pushed more than once
+            stack.pop()
+            continue
+        if (groupings := held.get(seq)) is None:
+            groupings = held[seq] = _groupings(seq)[1]
         pending = [child for _, _, child in groupings if child not in memo]
         if pending:
             stack += pending
             continue
-        seq = stack.pop()
-        if seq not in memo:  # a multiset may be pushed more than once
-            memo[seq] = sum(ways * memo[child] for _, ways, child in groupings)
-            lookups += sum(1 for _, _, child in groupings if child)
+        stack.pop()
+        del held[seq]
+        memo[seq] = sum(ways * memo[child] for _, ways, child in groupings)
+        lookups += sum(1 for _, _, child in groupings if child)
     entries = len(memo) - 1  # the empty multiset is not an entry
     # Each multiset below the root is counted on its first reference, and
     # every later reference is answered from the memo.

@@ -56,6 +56,8 @@ class SplitMix64:
         # Exactly uniform by rejection; a try joins ceil(bits / 64) words above
         # 2**64.  Up to 2**64 a try advances the state here, as next_u64 would,
         # so that a draw takes no next_u64 frame.
+        if type(n) is not int or n < 1:
+            raise InvalidArgument(f"randrange needs an int bound >= 1, got {n!r}")
         if n > _WORD:
             words = -(-(n - 1).bit_length() // 64)
             limit = (1 << 64 * words) - ((1 << 64 * words) % n)
@@ -135,13 +137,13 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
 
     The call keeps its own table of the multisets its draws reach, filled
     as they first reach them.  A multiset with several groupings holds its
-    size and the running totals of its groupings' ways, and a draw picks
-    its grouping by bisection.  A multiset that has one grouping, as has
-    every multiset below it, holds the fixed weight that every path from it
-    has, so a draw that reaches it stops there: on 1^n each draw stops at
-    once.  The table holds at most about ``_ENTRIES`` multisets, as many as
-    the ``_groupings`` cache; when full it is emptied and filled afresh,
-    which changes no weight.
+    size, the running totals of its groupings' ways and the keys of their
+    children, not the groupings, and a draw picks its child by bisection.
+    A multiset that has one grouping, as has every multiset below it,
+    holds the fixed weight that every path from it has, so a draw that
+    reaches it stops there: on 1^n each draw stops at once.  The table
+    holds at most about ``_ENTRIES`` multisets; when full it is emptied and
+    filled afresh, which changes no weight.
 
     Draw ``i`` uses RNG stream ``i``, so batches may run concurrently and
     merge associatively, and stopping a draw early changes no other draw.
@@ -166,12 +168,12 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
         rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64._stream(seed, i)
         key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
         while True:
-            size, totals, groupings = table.get(key) or _node(table, key)
+            size, totals, children = table.get(key) or _node(table, key)
             w *= size
             if totals is None:
                 break
             r = rng.randrange(size) if size > 1 else 0
-            key = groupings[bisect_right(totals, r)][2]
+            key = children[bisect_right(totals, r)]
         total += w
         total_sq += w * w
     estimate = Fraction(total, samples)
@@ -190,8 +192,10 @@ def _node(table: dict, key: tuple[int, ...]) -> tuple:
 
     An entry is ``(weight, None, None)`` where the multiset and every one
     below it has a single grouping, so that every path from it has that
-    weight; otherwise it is ``(size, totals, groupings)``, with ``totals``
-    the running sums of the ways of ``_groupings(key)``.  A chain of single
+    weight; otherwise it is ``(size, totals, children)``, with ``totals``
+    the running sums of the ways of ``_groupings(key)`` and ``children``
+    the keys of their children, the only part of a grouping a draw reads,
+    so the groupings themselves are dropped once made.  A chain of single
     groupings is followed in a loop, not by recursion: 1^3200 is 1,600
     levels deep.  Only the top of a chain with a fixed weight is kept, so
     1^n keeps one weight, not one per level.
@@ -201,20 +205,22 @@ def _node(table: dict, key: tuple[int, ...]) -> tuple:
     if len(table) >= _ENTRIES:  # every entry is a function of its key
         table.clear()
         table[()] = (1, None, None)
-    top, chain = key, []  # the single groupings from ``top`` down
+    top, chain = key, []  # (key, size, child) of the single groupings from ``top`` down
     while key not in table:
         size, groupings = _groupings(key)
         if len(groupings) > 1:
-            table[key] = (size, tuple(accumulate(ways for _, ways, _ in groupings)), groupings)
+            table[key] = (size, tuple(accumulate(ways for _, ways, _ in groupings)),
+                          tuple(child for _, _, child in groupings))
             break
-        chain.append((key, size, groupings))
-        key = groupings[0][2]
+        child = groupings[0][2]
+        chain.append((key, size, child))
+        key = child
     weight, totals, _ = table[key]
     if totals is None:
         table[top] = (weight * math.prod(size for _, size, _ in chain), None, None)
     else:
-        for key, size, groupings in chain:
-            table[key] = (size, (size,), groupings)
+        for key, size, child in chain:
+            table[key] = (size, (size,), (child,))
     return table[top]
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -319,6 +320,24 @@ class TestCountRealizations:
         with pytest.raises(InvalidDegree):
             count_realizations([2, 2, 2, -1])
 
+    def test_groupings_freed_once_counted(self):
+        # The call holds the groupings of the multisets on its stack alone,
+        # and nothing once it returns; a cache of them would hold 1.1 MB.
+        # A full collection empties the tuple free lists, which tracemalloc
+        # counts as held.
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            result = count_realizations((4,) * 18)
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.memo_entries > 100
+        assert held - before < 0.25 * 2**20
+        assert peak - before < 0.5 * 2**20
+
     def test_chain_deeper_than_recursion_limit(self):
         # 200 multisets in one chain, with 100 frames to spare.
         with recursion_headroom(100):
@@ -345,7 +364,6 @@ def test_no_cg_test_on_construction_paths(monkeypatch):
     for module, name in [(constrained, "cg_test"), (constrained, "_cg_counts"),
                          (sampling, "_cg_counts")]:
         monkeypatch.setattr(module, name, forbidden)
-    enumeration._groupings.cache_clear()
     assert count_realizations(HH_GAP_SEQUENCE).count == HH_GAP_COUNT
     assert sum(1 for _ in enumerate_all(HH_GAP_SEQUENCE)) == HH_GAP_COUNT
     sampling.sample_weighted(HH_GAP_SEQUENCE, 1)

@@ -1,6 +1,8 @@
 import decimal
+import itertools
 import math
 import random
+import signal
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
@@ -78,6 +80,24 @@ class TestSplitMix64:
                 while (u := words.next_u64()) >= limit:
                     pass
                 assert rng.randrange(n) == u % n
+
+    @pytest.mark.parametrize("n", [0, -1, -2**70, 1.5, 2.0, math.inf, math.nan, "5", None])
+    def test_randrange_refuses_a_bad_bound(self, n):
+        # A nan bound used to reject every try and never return.
+        def overdue(signum, frame):
+            raise TimeoutError("randrange did not return")
+
+        rng = SplitMix64.stream(7, 0)
+        state = rng._state
+        handler = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InvalidArgument):
+                rng.randrange(n)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert rng._state == state
 
 
 class SplitMix64Words:
@@ -414,6 +434,18 @@ class TestEstimateCount:
             assert estimate_count(seq, 40, draw_seed) == estimate_reference(
                 seq, 40, draw_seed)
 
+    def test_entries_hold_child_keys_not_groupings(self):
+        # (5, 4, 4, 4, 4, 3) has one grouping, and its child several: the
+        # chain above a branching entry keeps its one child key too.
+        root = _key((5, 4, 4, 4, 4, 3))
+        ((_, ways, key),) = _groupings(root)[1]
+        size, groupings = _groupings(key)
+        assert len(groupings) > 1
+        table = {(): (1, None, None)}
+        assert sampling._node(table, root) == (ways, (ways,), (key,))
+        assert table[key] == (size, tuple(itertools.accumulate(w for _, w, _ in groupings)),
+                              tuple(child for _, _, child in groupings))
+
     def test_multiword_draw_on_a_branching_level(self):
         seq = (34,) + (2,) * 10 + (1,) * 66
         size, groupings = _groupings(_key(seq))
@@ -430,7 +462,7 @@ class TestEstimateCount:
             seq = [rng.randint(1, 4) for _ in range(80)]
             if sum(seq) % 2 == 0 and erdos_gallai_test(seq).graphical:
                 break
-        want = estimate_reference(seq, 200, 1)  # fills the _groupings cache
+        want = estimate_reference(seq, 200, 1)
         node, sizes = sampling._node, []
 
         def spy(table, key):
