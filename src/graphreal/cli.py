@@ -285,15 +285,14 @@ def _cmd_count(args, raw, out) -> int:
 
 
 def _cmd_sample(args, raw, out) -> int:
-    from .sampling import molloy_reed_sample, sample_weighted
+    from .sampling import _weighted, molloy_reed_sample
     seed = _seed(args)
     d = validate_input_sequence(raw)
     with _Emitter(out, len(raw), d, args.format) as emitter:
         for k in range(args.samples):
             if args.method == "weighted":
-                sample = sample_weighted(d, seed, stream=k)
-                g, p = sample.graph, sample.probability
-                footer = f"p={_decimal(p.numerator)}/{_decimal(p.denominator)}"
+                g, weight, _ = _weighted(d, seed, k)
+                footer = f"p=1/{_decimal(weight)}"
             else:
                 g, stats = molloy_reed_sample(d, seed, args.early_reject, stream=k)
                 footer = (f"restarts={stats.restarts} "
@@ -303,26 +302,28 @@ def _cmd_sample(args, raw, out) -> int:
 
 
 def _cmd_estimate(args, raw, out) -> int:
-    from .sampling import estimate_count
+    from .sampling import _estimate
     d = validate_input_sequence(raw)
-    result = estimate_count(d, args.samples, _seed(args))
+    total, stderr, samples = _estimate(d, args.samples, _seed(args))
     exact = "unknown"
     if args.with_exact:
         from .enumeration import count_realizations
         exact = _decimal(count_realizations(d).count)
     out.write(
-        f"estimate={_fixed6(result.estimate)} "
-        f"stderr={result.stderr:.6f} exact={exact}\n"
+        f"estimate={_fixed6(total, samples)} "
+        f"stderr={stderr:.6f} exact={exact}\n"
     )
     return 0
 
 
-def _fixed6(x) -> str:
-    """Six-decimal text of a fraction, exact where a float would overflow."""
+def _fixed6(num: int, den: int) -> str:
+    """Six-decimal text of num / den, exact where a float would overflow."""
     try:
-        return f"{float(x):.6f}"
+        return f"{num / den:.6f}"
     except OverflowError:
-        scaled = round(x * 10**6)
+        scaled, rest = divmod(num * 10**6, den)
+        if 2 * rest > den or 2 * rest == den and scaled % 2:  # half to even
+            scaled += 1
         return f"{_decimal(scaled // 10**6)}.{scaled % 10**6:06d}"
 
 

@@ -205,7 +205,7 @@ class AdjacencySet(_Record):
     __slots__ = ("focal", "members")
 
     def __init__(self, focal, members):
-        focal, *members = _integers((focal, *members), InvalidSet)
+        focal, *members = _integers((focal,), InvalidSet) + _integers(members, InvalidSet)
         if focal < 1:
             raise InvalidSet(f"focal label {focal} out of range")
         for a, b in zip(members, members[1:]):
@@ -247,7 +247,7 @@ class ForbiddenSet(_Record):
     __slots__ = ("focal", "members")
 
     def __init__(self, focal, members):
-        focal, *members = _integers((focal, *members), InvalidSet)
+        focal, *members = _integers((focal,), InvalidSet) + _integers(members, InvalidSet)
         if focal in members:
             raise InvalidSet("focal node cannot forbid itself")
         if any(m < 1 for m in members):
@@ -264,13 +264,16 @@ class ForbiddenSet(_Record):
 
 def _canonical_edges(n: int, edges: Iterable) -> frozenset[tuple[int, int]]:
     out = set()
-    for e in edges:
-        u, v = _integers((e[0], e[1]), InvalidSet)
-        if u == v:
-            raise InvalidSet(f"self-loop at node {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InvalidSet(f"edge ({u},{v}) outside 1..{n}")
-        out.add((u, v) if u < v else (v, u))
+    try:
+        for u, v in edges:
+            u, v = _integers((u, v), InvalidSet)
+            if u == v:
+                raise InvalidSet(f"self-loop at node {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise InvalidSet(f"edge ({u},{v}) outside 1..{n}")
+            out.add((u, v) if u < v else (v, u))
+    except (TypeError, ValueError) as exc:  # not iterable, or an edge not a pair
+        raise InvalidSet(f"edges must be pairs of labels: {exc}") from None
     return frozenset(out)
 
 

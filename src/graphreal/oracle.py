@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .core import ForbiddenSet, InvalidSet, LabeledGraph, OracleTooLarge, as_residuals
-from .core import _check_labels, _Record
+from .core import InvalidArgument, _check_labels, _Record
 
 _MAX_NODES = 10
 
@@ -45,6 +45,8 @@ class OracleQuery(_Record):
 
 
 def _solutions(q: OracleQuery) -> Iterator[LabeledGraph]:
+    if not isinstance(q, OracleQuery):
+        raise InvalidArgument(f"{q!r} is not an OracleQuery")
     degrees = q.degrees
     n = len(degrees)
     if n > _MAX_NODES:

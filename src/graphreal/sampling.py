@@ -108,22 +108,25 @@ def _check_graphical(degs: tuple[int, ...]) -> None:
 def sample_weighted(d, seed: int, stream: int = 0) -> RealizationSample:
     """Walk the construction tree root to leaf, uniform at each level.
 
-    The returned probability is exact: the product of the reciprocals of
-    the branch counts along the path.  Deterministic given seed and
-    stream index (one stream per sample in a batch).
+    The returned probability is exact: the ``Fraction`` 1 / w, where the
+    weight w is the product of the branch counts along the path.
+    Deterministic given seed and stream index (one stream per sample in a
+    batch).
     """
-    # Compiling enumeration is the call's memory peak: do it before fractions.
-    from .enumeration import _draw
+    graph, weight, branch_sizes = _weighted(d, seed, stream)
     from fractions import Fraction
+    return RealizationSample(graph, Fraction(1, weight), branch_sizes)
+
+
+def _weighted(d, seed, stream):
+    """``sample_weighted``'s draw as ``(graph, weight, branch_sizes)``, with
+    the weight 1 / P(G) an int: the product of ``branch_sizes``."""
+    from .enumeration import _draw
     degs = as_residuals(d)
     rng = SplitMix64.stream(seed, stream)
     _check_graphical(degs)
     edges, branch_sizes = _draw(degs, lambda k: rng.randrange(k) if k > 1 else 0)
-    return RealizationSample(
-        LabeledGraph._trusted(len(degs), edges),
-        Fraction(1, math.prod(branch_sizes)),
-        branch_sizes,
-    )
+    return LabeledGraph._trusted(len(degs), edges), math.prod(branch_sizes), branch_sizes
 
 
 def estimate_count(d, samples: int, seed: int) -> CountEstimate:
@@ -147,13 +150,21 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
 
     Draw ``i`` uses RNG stream ``i``, so batches may run concurrently and
     merge associatively, and stopping a draw early changes no other draw.
-    The standard error is the sample standard deviation of the weights
-    divided by sqrt(samples); it is computed exactly and only the final
-    square root is a float, so weights far beyond the float range cannot
-    overflow it.
+    The estimate is the exact ``Fraction`` of the sum of the weights over
+    ``samples``.  The standard error is the sample standard deviation of
+    the weights divided by sqrt(samples); it is computed exactly on ints
+    and only the final square root is a float, so weights far beyond the
+    float range cannot overflow it.
     """
-    from bisect import bisect_right
+    total, stderr, samples = _estimate(d, samples, seed)
     from fractions import Fraction
+    return CountEstimate(Fraction(total, samples), stderr, samples)
+
+
+def _estimate(d, samples, seed):
+    """``estimate_count`` on ints: ``(total, stderr, samples)``, where
+    ``total`` is the sum of the weights, so the estimate is total / samples."""
+    from bisect import bisect_right
     from .enumeration import _key
     samples, seed = _integers((samples, seed), InvalidArgument)
     if samples < 1:
@@ -176,15 +187,11 @@ def estimate_count(d, samples: int, seed: int) -> CountEstimate:
             key = children[bisect_right(totals, r)]
         total += w
         total_sq += w * w
-    estimate = Fraction(total, samples)
-    if samples > 1:
-        # variance / samples, with variance = (S2 - S1^2 / N) / (N - 1)
-        stderr = _float_sqrt(Fraction(
-            total_sq * samples - total * total, samples * samples * (samples - 1)
-        ))
-    else:
-        stderr = float("inf")
-    return CountEstimate(estimate, stderr, samples)
+    # variance / samples, with variance = (S2 - S1^2 / N) / (N - 1)
+    stderr = (_float_sqrt(total_sq * samples - total * total,
+                          samples * samples * (samples - 1))
+              if samples > 1 else math.inf)
+    return total, stderr, samples
 
 
 def _node(table: dict, key: tuple[int, ...]) -> tuple:
@@ -224,13 +231,13 @@ def _node(table: dict, key: tuple[int, ...]) -> tuple:
     return table[top]
 
 
-def _float_sqrt(x: Fraction) -> float:
-    """The square root of a nonnegative fraction as a float; inf if too large."""
+def _float_sqrt(num: int, den: int) -> float:
+    """The square root of num / den >= 0 as a float; inf if too large."""
     try:
-        return math.sqrt(x)
-    except OverflowError:  # x is beyond the float range, its root may not be
+        return math.sqrt(num / den)
+    except OverflowError:  # num / den is beyond the float range; its root may not be
         try:
-            return float(math.isqrt(x.numerator // x.denominator))
+            return float(math.isqrt(num // den))
         except OverflowError:
             return math.inf
 

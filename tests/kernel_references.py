@@ -5,7 +5,8 @@
 focal node, ``molloy_reed_reference`` scans the residuals for every stub
 it draws (``draw_stub_reference``) and runs the public ``cg_test`` on the
 whole residual list after every connection, ``estimate_reference`` weighs
-each draw by the branch sizes of ``walk_reference``'s labelled walk,
+each draw by the branch sizes of ``walk_reference``'s labelled walk and
+takes its standard error on ``Fraction``s (``float_sqrt_reference``),
 ``groupings_reference`` builds each child multiset of A(d) as a sorted
 tuple and runs ``erdos_gallai_test`` on it, and ``walk_reference`` sorts the
 residuals at every inner node of the construction tree, the star levels
@@ -33,7 +34,6 @@ from graphreal.sampling import (
     MrRunStats,
     SplitMix64,
     _check_graphical,
-    _float_sqrt,
 )
 
 
@@ -163,12 +163,24 @@ def estimate_reference(d, samples, seed) -> CountEstimate:
         weights.append(math.prod(sizes))
     total, total_sq = sum(weights), sum(w * w for w in weights)
     if samples > 1:
-        stderr = _float_sqrt(Fraction(
+        stderr = float_sqrt_reference(Fraction(
             total_sq * samples - total * total, samples * samples * (samples - 1)
         ))
     else:
         stderr = float("inf")
     return CountEstimate(Fraction(total, samples), stderr, samples)
+
+
+def float_sqrt_reference(x: Fraction) -> float:
+    """The square root of a nonnegative ``Fraction`` as a float, taken on
+    the ``Fraction`` itself; inf if too large."""
+    try:
+        return math.sqrt(x)
+    except OverflowError:  # x is beyond the float range, its root may not be
+        try:
+            return float(math.isqrt(x.numerator // x.denominator))
+        except OverflowError:
+            return math.inf
 
 
 def groupings_reference(seq):

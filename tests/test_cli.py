@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from io import StringIO
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 from helpers import ESTIMATE_SHAPED, unlimited_int_digits
 from kernel_references import estimate_reference
 
-from graphreal.cli import _Emitter, run
+from graphreal.cli import _Emitter, _fixed6, run
 from graphreal.construction import _hh_rows
 from graphreal.core import (
     LabeledGraph,
@@ -259,6 +260,44 @@ class TestEstimate:
         assert (code, err) == (0, "")
         assert out == (f"estimate={float(ref.estimate):.6f} "
                        f"stderr={ref.stderr:.6f} exact=unknown\n")
+
+
+def fixed6_reference(num, den):
+    """The estimate's text as taken from ``Fraction(num, den)``."""
+    x = Fraction(num, den)
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        scaled = round(x * 10**6)
+        return f"{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+class TestFixed6:
+    def test_equals_fraction_text_on_random_pairs(self):
+        rng, beyond = random.Random(22), 0
+        for _ in range(5000):
+            num = rng.randrange(10 ** rng.randint(1, 400))
+            den = rng.randrange(1, 10 ** rng.randint(1, 40))
+            beyond += num // den > 10**309
+            assert _fixed6(num, den) == fixed6_reference(num, den), (num, den)
+        assert 500 < beyond < 4500  # both the float and the exact branch
+
+    @pytest.mark.parametrize("k", [10**400, 3**900, 0, 12345],
+                             ids=["1e400", "3^900", "0", "12345"])
+    @pytest.mark.parametrize("j", [0, 1, 2, 7, 999_998])
+    def test_ties_round_half_to_even(self, k, j):
+        # k + (j + 1/2) / 10**6: the seventh decimal is an exact 5, so the
+        # sixth rounds to the even one of j and j + 1.
+        num, den = (2 * j + 1) + k * 2 * 10**6, 2 * 10**6
+        assert _fixed6(num, den) == fixed6_reference(num, den)
+        if k > 10**308:
+            assert _fixed6(num, den) == f"{k}.{j + j % 2:06d}"
+
+    def test_exact_where_a_float_overflows(self):
+        third = 10**400 // 3  # 10**400 = 3 * third + 1
+        assert _fixed6(10**400, 3) == f"{third}.333333"
+        assert _fixed6(10**400 + 1, 3) == f"{third}.666667"
+        assert _fixed6(10**400 + 2, 3) == f"{third + 1}.000000"
 
 
 class TestBadCounts:

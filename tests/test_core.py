@@ -124,6 +124,12 @@ class TestAdjacencySet:
         with pytest.raises(InvalidSet):
             AdjacencySet(focal, members)
 
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_rejects_members_that_are_not_iterable(self, members):
+        # AdjacencySet(1, None) used to raise a raw TypeError.
+        with pytest.raises(InvalidSet):
+            AdjacencySet(1, members)
+
 
 class TestForbiddenSet:
     def test_rejects_focal_member(self):
@@ -140,6 +146,12 @@ class TestForbiddenSet:
         # ForbiddenSet(1, {2.7}) used to forbid node 2.
         with pytest.raises(InvalidSet):
             ForbiddenSet(focal, frozenset(members))
+
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_rejects_members_that_are_not_iterable(self, members):
+        # ForbiddenSet(1, None) used to raise a raw TypeError.
+        with pytest.raises(InvalidSet):
+            ForbiddenSet(1, members)
 
 
 class TestLabeledGraph:
@@ -160,6 +172,18 @@ class TestLabeledGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidSet):
             LabeledGraph(3, [(1, 4)])
+
+    @pytest.mark.parametrize("edges", [[(1, 2, 3)], [(1,)], [()], [1, 1, 2], [(1, 2), 3],
+                                       None, 5])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        # LabeledGraph(3, [(1, 2, 3)]) used to keep the edge (1, 2) and drop
+        # the 3; [(1,)] raised a raw IndexError and [1, 1, 2] a raw TypeError.
+        with pytest.raises(InvalidSet):
+            LabeledGraph(3, edges)
+
+    def test_any_pair_of_labels_is_an_edge(self):
+        g = LabeledGraph(3, [[3, 1], frozenset({2, 3}), iter((1, 2))])
+        assert g.canonical_edges() == ((1, 2), (1, 3), (2, 3))
 
     @pytest.mark.parametrize("n", [2.5, "2", None, -2])
     def test_rejects_bad_node_count(self, n):

@@ -6,6 +6,7 @@ import pytest
 from graphreal.cli import run
 from graphreal.core import (
     ForbiddenSet,
+    InvalidArgument,
     InvalidSet,
     LabeledGraph,
     OracleTooLarge,
@@ -106,6 +107,13 @@ class TestQueryChecks:
     def test_partial_that_is_not_a_graph(self, partial):
         with pytest.raises(InvalidSet):
             oracle_exists(OracleQuery((1, 1), fixed_partial=partial))
+
+    @pytest.mark.parametrize("query", [[1, 1], (1, 1), None, "1 1"])
+    @pytest.mark.parametrize("ask", [oracle_enumerate, oracle_exists])
+    def test_query_that_is_not_an_oracle_query(self, ask, query):
+        # oracle_enumerate([1, 1]) used to raise a raw AttributeError.
+        with pytest.raises(InvalidArgument):
+            ask(query)
 
     def test_oversized_star_is_not_graphical(self):
         # |X| > n - 1 - d_i leaves node 1 too few neighbours: no realization.

@@ -146,6 +146,16 @@ class TestStartUp:
         assert "graphreal.sampling" in added
         assert not added & {"fractions", "decimal", "graphreal.enumeration"}
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "-s", "2 2 2 1 1", "--samples", "2", "--seed", "1"],
+        ["estimate", "-s", "2 2 2 1 1", "--samples", "3", "--seed", "1"],
+    ])
+    def test_weighted_sample_and_estimate_load_neither_fractions_nor_decimal(self, argv):
+        # Their weights are ints; only the library functions build a Fraction.
+        added = cli_modules(argv)
+        assert "graphreal.enumeration" in added
+        assert not added & {"fractions", "decimal"}
+
     def test_no_dataclasses_anywhere(self):
         assert "dataclasses" not in modules_added(
             "import graphreal; from graphreal import *"

@@ -18,7 +18,7 @@ from helpers import (
     graphical_family,
     recursion_headroom,
 )
-from kernel_references import estimate_reference, walk_reference
+from kernel_references import estimate_reference, float_sqrt_reference, walk_reference
 
 from graphreal import enumeration, sampling
 from graphreal.core import (
@@ -192,6 +192,13 @@ class TestSampleWeighted:
             assert s.branch_sizes == (3, 1)
             assert s.graph.canonical_edges() in cycles
 
+    def test_probability_is_the_fraction_of_the_int_weight(self):
+        for stream in range(5):
+            s = sample_weighted(HH_GAP_SEQUENCE, 3, stream)
+            graph, weight, sizes = sampling._weighted(HH_GAP_SEQUENCE, 3, stream)
+            assert type(s.probability) is Fraction and type(weight) is int
+            assert s == sampling.RealizationSample(graph, Fraction(1, weight), sizes)
+
     def test_single_edge(self):
         s = sample_weighted((1, 1), 0)
         assert s.graph.canonical_edges() == ((1, 2),)
@@ -362,6 +369,14 @@ class TestEstimateCount:
     def test_single_edge(self):
         assert estimate_count((1, 1), samples=5, seed=0).estimate == 1
 
+    @pytest.mark.parametrize("samples", [1, 2, 40])
+    def test_estimate_is_the_fraction_of_the_int_total(self, samples):
+        r = estimate_count(HH_GAP_SEQUENCE, samples, 4)
+        total, stderr, n = sampling._estimate(HH_GAP_SEQUENCE, samples, 4)
+        assert type(r.estimate) is Fraction and type(total) is int
+        assert r == sampling.CountEstimate(Fraction(total, n), stderr, n)
+        assert (r.stderr == math.inf) == (samples == 1)
+
     def test_deterministic(self):
         a = estimate_count(HH_GAP_SEQUENCE, samples=200, seed=9)
         b = estimate_count(HH_GAP_SEQUENCE, samples=200, seed=9)
@@ -492,6 +507,32 @@ class TestEstimateCount:
     def test_bad_sample_count_is_invalid_argument(self, samples):
         with pytest.raises(InvalidArgument):
             estimate_count((1, 1), samples=samples, seed=0)
+
+
+class TestFloatSqrt:
+    """``_float_sqrt(num, den)`` on ints equals the root taken on
+    ``Fraction(num, den)``, fallbacks included."""
+
+    def test_equals_root_of_the_fraction_on_random_pairs(self):
+        rng, branches = random.Random(22), Counter()
+        for _ in range(5000):
+            num = rng.randrange(10 ** rng.randint(1, 700))
+            den = rng.randrange(1, 10 ** rng.randint(1, 40))
+            got = sampling._float_sqrt(num, den)
+            assert got == float_sqrt_reference(Fraction(num, den)), (num, den)
+            branches["inf" if got == math.inf else
+                     "isqrt" if num // den > 10**309 else "float"] += 1
+        assert min(branches[b] for b in ("float", "isqrt", "inf")) > 300
+
+    @pytest.mark.parametrize("num, den, want", [
+        (0, 7, 0.0), (49, 1, 7.0), (98, 2, 7.0), (1, 4, 0.5),
+        (10**400, 1, 1e200), (6 * 10**500, 6, 1e250),
+        (10**700, 3, math.inf),
+    ], ids=["zero", "square", "unreduced", "below-one", "beyond-float",
+            "beyond-float-unreduced", "beyond-float-root"])
+    def test_exact_roots_and_fallbacks(self, num, den, want):
+        assert sampling._float_sqrt(num, den) == want
+        assert float_sqrt_reference(Fraction(num, den)) == want
 
 
 @pytest.mark.parametrize("seed, stream", [(1.5, 0), ("1", 0), (None, 0), (1, 0.5)])
