@@ -3,12 +3,13 @@
 
 Row a of a graph lists the names b > a of the neighbours of the node named
 a, so the command line can write the rows of a realization without its
-edges ever being tuples, a list or a set.
+edges ever being tuples, a list or a set.  A step with k targets costs
+O(k log n), however large the buckets are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from heapq import heappop, heappush
 
 from .core import (
     DegreeTooLarge,
@@ -25,10 +26,12 @@ def _hh_rows(d, policy, names=None) -> list[list[int]]:
     with node v named ``names[v]`` (v itself by default), sized by the
     largest name; raises what that function raises.
 
-    Active nodes sit in buckets by residual degree, each bucket in label
-    order, so the focal node and its targets are bucket heads.  No target
-    can already be a neighbour of the focal node: every earlier edge has an
-    earlier focal node at one end, and that node's residual is 0.
+    Active nodes sit in heaps of labels by residual degree.  The focal
+    node is the head of the top heap (``max``), the lowest non-empty heap
+    (``min``) or the heap of the smallest active label (``fixed``); each
+    target is a head too, pushed one heap down.  No target can already be
+    a neighbour of the focal node: every earlier edge has an earlier focal
+    node at one end, and that node's residual is 0.
     """
     try:
         policy = NodeSelectionPolicy(policy)
@@ -47,7 +50,7 @@ def _hh_rows(d, policy, names=None) -> list[list[int]]:
     residual = list(degs)
     buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
     for v, r in enumerate(degs, start=1):
-        if r:
+        if r:  # appended in label order, so each bucket is already a heap
             buckets[r].append(v)
     top, low, nxt = len(buckets) - 1, 1, 0
     while True:
@@ -56,18 +59,16 @@ def _hh_rows(d, policy, names=None) -> list[list[int]]:
         if not top:
             return rows
         if policy is NodeSelectionPolicy.MAX_RESIDUAL:
-            focal = buckets[top].pop(0)
+            need = top
         elif policy is NodeSelectionPolicy.MIN_RESIDUAL:
             while not buckets[low]:
                 low += 1
-            focal = buckets[low].pop(0)
+            need = low
         else:
             while not residual[nxt]:
                 nxt += 1
-            focal = nxt + 1
-            bucket = buckets[residual[nxt]]
-            del bucket[bisect_left(bucket, focal)]
-        need = residual[focal - 1]
+            need = residual[nxt]
+        focal = heappop(buckets[need])
         residual[focal - 1] = 0
         # Take the targets top bucket first; move them one bucket down,
         # lowest bucket first, so that no node moves twice.
@@ -83,17 +84,14 @@ def _hh_rows(d, policy, names=None) -> list[list[int]]:
             raise NotGraphical(f"{list(degs)} is not graphical")
         a = names[focal]
         for r, k in reversed(takes):
-            bucket = buckets[r]
-            moved = bucket[:k]
-            del bucket[:k]
-            for v in moved:
+            bucket, below = buckets[r], buckets[r - 1]
+            for _ in range(k):
+                v = heappop(bucket)
                 residual[v - 1] = r - 1
+                if r > 1:
+                    heappush(below, v)
                 if a < (b := names[v]):
                     rows[a].append(b)
                 else:
                     rows[b].append(a)
-            if r > 1:
-                below = buckets[r - 1]
-                below += moved
-                below.sort()
             low = min(low, max(r - 1, 1))

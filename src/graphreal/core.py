@@ -141,7 +141,7 @@ class DegreeSequence(_Record):
         return sum(self.degrees)
 
     def degree_of(self, label: int) -> int:
-        return self.degrees[label - 1]
+        return self.degrees[_label(label, self.n) - 1]
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -161,6 +161,14 @@ def _integers(values, error: type[GraphRealError]) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(str(exc)) from None
+
+
+def _label(v, n: int) -> int:
+    """``v`` as an int label; InvalidSet unless it is an integer in 1..n."""
+    (v,) = _integers((v,), InvalidSet)
+    if not 1 <= v <= n:
+        raise InvalidSet(f"label {v} outside 1..{n}")
+    return v
 
 
 def as_residuals(d) -> tuple[int, ...]:
@@ -311,9 +319,11 @@ class LabeledGraph(_Record):
         return tuple(sorted(self.edges))
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = _label(u, self.n), _label(v, self.n)
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
+        v = _label(v, self.n)
         return {b if a == v else a for a, b in self.edges if v in (a, b)}
 
     def degrees(self) -> tuple[int, ...]:
@@ -326,6 +336,8 @@ class LabeledGraph(_Record):
 
 def graph_degree_sequence(g: LabeledGraph) -> tuple[tuple[int, ...], DegreeSequence]:
     """Per-label degree counts plus the nonincreasing sorted sequence."""
+    if not isinstance(g, LabeledGraph):
+        raise InvalidArgument(f"expected a LabeledGraph, got {type(g).__name__}")
     counts = g.degrees()
     return counts, DegreeSequence(tuple(sorted(counts, reverse=True)))
 
@@ -342,6 +354,8 @@ def format_sequence(d) -> str:
 
 
 def parse_sequence(line: str) -> list[int]:
+    if not isinstance(line, str):
+        raise ParseError(f"expected a line of text, got {type(line).__name__}")
     tokens = line.split()
     if not tokens:
         raise ParseError("empty degree-sequence line")
@@ -352,15 +366,21 @@ def parse_sequence(line: str) -> list[int]:
 
 
 def parse_sequences(text: str) -> list[list[int]]:
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {type(text).__name__}")
     return [parse_sequence(line) for line in text.splitlines() if line.strip()]
 
 
 def format_graph(g: LabeledGraph) -> str:
+    if not isinstance(g, LabeledGraph):
+        raise InvalidArgument(f"expected a LabeledGraph, got {type(g).__name__}")
     edges = g.canonical_edges()
     return "\n".join([f"graph n={g.n} m={len(edges)}", *[f"{u} {v}" for u, v in edges]])
 
 
 def parse_graphs(text: str) -> list[LabeledGraph]:
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {type(text).__name__}")
     graphs = []
     header = None
     edges: list[tuple[int, int]] = []

@@ -93,6 +93,17 @@ class TestDegreeSequence:
         assert d.n == 4
         assert d.degree_of(1) == 2
 
+    @pytest.mark.parametrize("label", [0, -1, 4, 9, None, 1.5, "1"])
+    def test_degree_of_refuses_labels_outside_1_to_n(self, label):
+        # degree_of(0) used to return the last degree through index -1,
+        # degree_of(9) raised a raw IndexError and degree_of(None) a raw
+        # TypeError.
+        with pytest.raises(InvalidSet):
+            DegreeSequence((2, 1, 1)).degree_of(label)
+
+    def test_degree_of_coerces_integral_labels(self):
+        assert DegreeSequence((2, 1, 1)).degree_of(True) == 2
+
 
 class TestAdjacencySet:
     def test_rejects_focal_member(self):
@@ -213,6 +224,21 @@ class TestLabeledGraph:
         assert g.neighbors(1) == {2, 3}
         assert g.neighbors(4) == set()
 
+    @pytest.mark.parametrize("label", [0, -1, 7, None, 1.5, "1"])
+    def test_labels_outside_1_to_n_are_refused(self, label):
+        # has_edge(1, 7) used to return False and has_edge(None, 1) raise a
+        # raw TypeError; neighbors of each of these returned set().
+        g = LabeledGraph(3, [(1, 2)])
+        for call in (lambda: g.has_edge(label, 1), lambda: g.has_edge(1, label),
+                     lambda: g.neighbors(label)):
+            with pytest.raises(InvalidSet):
+                call()
+
+    def test_integral_labels_are_coerced(self):
+        g = LabeledGraph(3, [(1, 2)])
+        assert g.has_edge(True, 2) and not g.has_edge(2, 3)
+        assert g.neighbors(True) == {2} and g.neighbors(3) == set()
+
 
 class TestGraphDegreeSequence:
     def test_triangle(self):
@@ -267,3 +293,17 @@ class TestTextFormats:
     def test_parse_graph_wrong_edge_count(self):
         with pytest.raises(ParseError):
             parse_graphs("graph n=3 m=2\n1 2\n")
+
+    @pytest.mark.parametrize("fn", [parse_sequence, parse_sequences, parse_graphs])
+    @pytest.mark.parametrize("text", [None, b"1 1", ["1 1"], 5])
+    def test_parsers_refuse_what_is_not_text(self, fn, text):
+        # None used to raise a raw AttributeError.
+        with pytest.raises(ParseError):
+            fn(text)
+
+    @pytest.mark.parametrize("fn", [graph_degree_sequence, format_graph])
+    @pytest.mark.parametrize("g", [[1, 1], [1], None, (3, [(1, 2)])])
+    def test_graph_functions_refuse_what_is_not_a_graph(self, fn, g):
+        # [1, 1] used to raise a raw AttributeError.
+        with pytest.raises(InvalidArgument):
+            fn(g)
