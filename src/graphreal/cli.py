@@ -148,18 +148,24 @@ class _Emitter(contextlib.AbstractContextManager):
     """Writes graphs on 1..n to ``out`` in blocks of at least 64 KiB: each the
     text of ``format_graph`` or its JSON line (README), a newline and ``tail``.
 
-    ``edges`` writes sorted (min, max) pairs of input positions, with ``text``
-    caching edge text past a block's first graph when ``cache``; ``graph``
-    writes a graph on the labels of ``d`` through it, uncached, since sampled
-    graphs share few edges.  ``rows`` writes ``construct``'s text from
-    rows of input positions (row a: the larger neighbours of a), each row
-    sorted and written under one prefix, from position text made there.
+    ``edges`` writes a leaf's edge codes as ``_walk`` yields them for the
+    names ``names``: a * N + b for input positions a < b, N = ``base``.  It
+    sorts the list in place and takes each line's text from ``text``, the
+    per-call dict in which the text of each code is made once, if ``cache``.
+    ``graph`` writes a graph on the labels of ``d`` through it, as codes and
+    uncached, since sampled graphs share few edges.  ``rows`` writes
+    ``construct``'s text from rows of input positions (row a: the larger
+    neighbours of a), each row sorted and written under one prefix, from
+    position text made there.
     """
 
     def __init__(self, out, n: int, d, fmt: str):
         self.out, self.names, self.text = out, (0, *d.permutation), {}
-        self.json = fmt == "jsonlines"
-        self.head = '{"n":%d,"edges":[' % n if self.json else f"graph n={n} m="
+        self.base = max(self.names) + 1
+        # Every graph realizes d, so the head of each has the same m.
+        self.head, self.sep, self.form, self.end = (
+            ('{"n":%d,"edges":[' % n, ",", "[%d,%d]", "]}\n") if fmt == "jsonlines"
+            else (f"graph n={n} m={sum(d.degrees) // 2}\n", "", "%d %d\n", ""))
         self.parts, self.size = [], 0
 
     def flush(self, *exc_info):
@@ -169,14 +175,14 @@ class _Emitter(contextlib.AbstractContextManager):
 
     __exit__ = flush
 
-    def graph(self, g: LabeledGraph, tail: str) -> None:
-        names = self.names
-        self.edges(sorted([(a, b) if (a := names[u]) < (b := names[v]) else (b, a)
-                           for u, v in g.edges]), tail, False)
+    def graph(self, g, tail):
+        names, base = self.names, self.base
+        self.edges([a * base + b if (a := names[u]) < (b := names[v]) else b * base + a
+                    for u, v in g.edges], tail, False)
 
     def rows(self, rows: list, tail: str) -> None:
         labels = list(map(str, range(len(rows))))
-        self.parts.append(f"{self.head}{sum(map(len, rows))}\n")
+        self.parts.append(self.head)
         for label, row in zip(labels, rows):
             if row:  # one string per row: "a b\n" per edge
                 row.sort()
@@ -188,20 +194,20 @@ class _Emitter(contextlib.AbstractContextManager):
                     self.flush()
         self.parts.append(tail)
 
-    def edges(self, edges: list, tail: str, cache: bool = True) -> None:
+    def edges(self, codes, tail, cache=True):
         if self.size >= 1 << 16:  # one pipe buffer of edge text; written here,
             self.flush()  # so no graph's lines are held while a block is joined
+        codes.sort()
         try:
-            lines = list(map(self.text.__getitem__, edges))
-        except KeyError:  # an edge not seen before: make the text of each
-            lines = ([f"[{u},{v}]" for u, v in edges] if self.json
-                     else [f"{u} {v}\n" for u, v in edges])
-            if self.parts and cache:
-                self.text.update(zip(edges, lines))
+            body = self.sep.join(map(self.text.__getitem__, codes))
+        except KeyError:  # a code not seen before: make the text of each
+            lines = [self.form % divmod(c, self.base) for c in codes]
+            if cache:
+                self.text.update(zip(codes, lines))
+            body = self.sep.join(lines)
         # A record's head, edge text and tail are joined only with their block.
-        self.parts += ((self.head, ",".join(lines), "]}\n" + tail) if self.json
-                       else (f"{self.head}{len(lines)}\n", "".join(lines), tail))
-        self.size += len(self.parts[-2])
+        self.parts += self.head, body, self.end + tail
+        self.size += len(body)
 
 
 def _seed(args) -> int:
@@ -251,7 +257,7 @@ def _cmd_enumerate(args, raw, out) -> int:
     except DegreeTooLarge:
         return 0  # non-graphical: empty stream
     with _Emitter(out, len(raw), d, args.format) as emitter:
-        separator = "" if emitter.json else "\n"
+        separator = "" if emitter.sep else "\n"  # a blank line after a text graph
         if args.oracle:
             from .oracle import OracleQuery, oracle_enumerate
             graphs = sorted(oracle_enumerate(OracleQuery(d.degrees)),
@@ -260,9 +266,8 @@ def _cmd_enumerate(args, raw, out) -> int:
                 emitter.graph(g, separator)
         else:
             from .enumeration import _walk
-            leaves = _walk(d.degrees, names=emitter.names)
-            for edges, _ in itertools.islice(leaves, args.limit):
-                emitter.edges(sorted(edges), separator)
+            for edges, _ in itertools.islice(_walk(d.degrees, emitter.names), args.limit):
+                emitter.edges(edges, separator)
     return 0
 
 

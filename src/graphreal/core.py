@@ -9,7 +9,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 
 
 class GraphRealError(Exception):
@@ -173,9 +173,13 @@ def _label(v, n: int) -> int:
 
 def as_residuals(d) -> tuple[int, ...]:
     """Coerce a DegreeSequence or plain iterable of integers into a per-label
-    tuple; InvalidDegree for an entry that is not an integer."""
+    tuple; InvalidDegree for an entry that is not an integer, and for a
+    mapping or a set, whose iteration order is not a labelling."""
     if isinstance(d, DegreeSequence):
         return d.degrees
+    # Tuples and lists skip the ABC check, whose caches cost memory.
+    if not isinstance(d, (tuple, list)) and isinstance(d, (Mapping, Set)):
+        raise InvalidDegree(f"degrees must be a sequence, not a {type(d).__name__}")
     return _integers(d, InvalidDegree)
 
 

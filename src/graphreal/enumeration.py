@@ -8,6 +8,9 @@ groupings: how many members a set takes from each class of equal degree.
 They are keyed by ``_key``: entry v counts the nodes of degree v, entry 0 is
 0 and the last entry is nonzero.  ``_walk`` serves enumeration, ``_draw``
 the weighted sampler; the count and the estimate descend the keys alone.
+The walk gives each leaf's edges as integer codes: the command line sorts
+them and writes the text of each code, made once, and ``_graphs`` decodes
+each code once into the (min, max) pair that the library's graphs share.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _key(degrees) -> tuple[int, ...]:
     return (0, *counts) if counts else ()
 
 
-def _groupings(key: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple, int, tuple], ...]]:
+def _groupings(key):
     """|A(d)| and the graphicality-preserving groupings of node 1's neighbours.
 
     ``key`` is the ``_key`` of a nonempty multiset: node 1 has its top
@@ -181,7 +184,7 @@ def all_adjacency_sets(d) -> list[AdjacencySet]:
     return [AdjacencySet(1, m[::-1]) for m in _adjacency_sets(groupings)]
 
 
-def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
+def _sorted_view(residual):
     """Surviving labels ordered by (residual desc, label asc), plus degrees."""
     # A stable sort keeps labels ascending among equal residuals.
     order = sorted(range(len(residual)), key=residual.__getitem__, reverse=True)
@@ -192,91 +195,98 @@ def _sorted_view(residual: list[int]) -> tuple[list[int], tuple[int, ...]]:
 _KEEP = 1 << 16  # members and pairs that the set lists of one walk may hold
 
 
-def _walk(degs, names=None) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+def _walk(degs, names=None) -> Iterator[tuple[list[int], tuple[int, ...]]]:
     """Depth-first walk of the construction tree below the residuals ``degs``.
 
     Yields ``(edges, branch_sizes)`` at each leaf, ``branch_sizes`` holding
     the number of adjacency sets offered at each level of the path; a
     non-graphical ``degs`` yields nothing.  Every set is taken in turn, in
-    decreasing colex order.  Each edge is a (min, max) pair of
-    ``names[v]``; names leave the order of the leaves as it is.
+    decreasing colex order.  ``edges`` is a new list, the caller's to sort
+    or keep, of one int per edge: a * N + b for the names a < b of its ends,
+    ``names[v]`` (v itself without names), where N is the largest name + 1,
+    so the ints sort as the pairs do.  Names leave the order of the leaves
+    as it is.
 
     A level whose top residual equals the edges left is forced: the other
     positive residuals are all 1, and the one set is the star of them all.
-    A forced root yields its leaf at once, branch size 1, with no sort and
-    no stack level.  Every level offers its sets lazily from ``_offers``,
-    each with the position pairs that finish its path when its child is
-    such a star, so no forced level is ever descended into; the list is
-    kept in ``known``, one per multiset, once all of its sets were offered,
-    and later levels on that multiset walk the list.
-    The kept lists hold at most ``_KEEP`` members and pairs in all, so
-    memory stays bounded on a huge A(d).  The explicit stack has no depth
-    limit.
+    Every level offers its sets lazily from ``_offers``, each with the
+    position pairs that finish its path when its child is such a star, so
+    no forced level is ever descended into (a root that is a star yields its
+    one leaf itself); the list is kept in ``known``, one per multiset, once
+    all of its sets were offered, and later levels on that multiset walk the
+    list.  Most levels of a walk stand on residuals that an earlier level
+    stood on, so ``views`` keeps, by residuals, the sorted view of a level
+    with the names of its positions: a level sorts and maps its positions to
+    names only on residuals not seen before.
+    The kept lists hold at most ``_KEEP`` members and pairs in all, and the
+    views are dropped whenever they hold more than ``_KEEP`` labels, so
+    memory stays bounded on a huge A(d) or a long walk.  The explicit stack
+    has no depth limit.
     """
     if not erdos_gallai_test(degs).graphical:
         return
     residual = list(degs)
     names = range(len(residual) + 1) if names is None else names
+    base = max(names) + 1
     m = sum(residual) // 2  # a leaf has m edges
     if not m:
-        yield (), ()
+        yield [], ()
         return
-    if m == max(residual):  # forced: the star from the top node
-        hub = residual.index(m) + 1
-        a = names[hub]
-        yield tuple((a, b) if a < (b := names[v]) else (b, a)
-                    for v in range(len(residual), 0, -1)
-                    if residual[v - 1] and v != hub), (1,)
-        return
-    edges: list[tuple[int, int]] = []
-    # Per level: [labels, offers, set applied, top residual, star_sizes].
-    stack: list[list] = []
-    known: dict[tuple[int, ...], list] = {}  # multiset -> its _offers
+    edges = []
+    # Per level: [labels, names (by position p), offers, set, top, star_sizes].
+    stack = []
+    known = {}  # multiset -> its _offers
+    views = {}  # residuals -> (labels, names, multiset) of a level on them
     room = [_KEEP]  # members and pairs the lists may still take
     star_sizes = (1,)  # the branch sizes of a leaf one forced level below
     while True:
-        labels, seq = _sorted_view(residual)
+        if (view := views.get(state := tuple(residual))) is None:
+            if len(views) * len(residual) > _KEEP:
+                views.clear()
+            labels, seq = _sorted_view(residual)
+            labels.insert(0, 0)
+            view = views[state] = labels, list(map(names.__getitem__, labels)), seq
+        labels, named, seq = view
         if (offers := known.get(seq)) is not None:
             size = len(offers)
         else:
             size, groupings = _groupings(_key(seq))
             offers = _offers(seq, _adjacency_sets(groupings), known, room)
-        star_sizes = (*star_sizes[:-1], size, 1)
-        stack.append([labels, iter(offers), (), seq[0], star_sizes])
+        # A star root's one child has no edges, so no forced level below.
+        star_sizes = (*star_sizes[:-1], size, 1) if m > seq[0] else (size,)
+        stack.append([labels, named, iter(offers), (), seq[0], star_sizes])
         # Undo levels until one has a next set; finish each star child at
         # once, and descend into the first other child.
         while stack:
             level = stack[-1]
-            labels, offers, current, top, star_sizes = level
+            labels, named, offers, current, top, star_sizes = level
             if current:
-                residual[labels[0] - 1] = top
+                residual[labels[1] - 1] = top
                 for p in current:
-                    residual[labels[p - 1] - 1] += 1
+                    residual[labels[p] - 1] += 1
                 del edges[-len(current):]
             for current, finish in offers:
                 if finish is None:
                     break
-                yield (*edges, *[(a, b) if (a := names[labels[p - 1]])
-                                 < (b := names[labels[q - 1]]) else (b, a)
-                                 for p, q in finish]), star_sizes
+                yield [*edges, *[a * base + b if (a := named[p]) < (b := named[q])
+                                 else b * base + a for p, q in finish]], star_sizes
             else:
                 stack.pop()
                 continue
-            level[2] = current
-            a = names[labels[0]]
+            level[3] = current
+            a = named[1]
             for p in current:
-                v = labels[p - 1]
-                residual[v - 1] -= 1
-                edges.append((a, b) if a < (b := names[v]) else (b, a))
-            residual[labels[0] - 1] = 0
+                residual[labels[p] - 1] -= 1
+                edges.append(a * base + b if a < (b := named[p]) else b * base + a)
+            residual[labels[1] - 1] = 0
             break
         else:
             return
 
 
-def _offers(seq, sets, known, room) -> Iterator[tuple[tuple[int, ...], tuple | None]]:
-    """Each of ``sets``, the sets of the multiset ``seq`` that is not a star,
-    with the position pairs that finish its path if its child is a star (its
+def _offers(seq, sets, known, room):
+    """Each of ``sets``, the sets of the multiset ``seq``, with the position
+    pairs that finish its path if its child is a star or has no edges (its
     own edges, then the star's), else None.  The list of them goes into
     ``known`` once every set was offered, its members and pairs taken from
     ``room[0]``; a list that outgrows the room is dropped and gives its share
@@ -306,15 +316,26 @@ def _offers(seq, sets, known, room) -> Iterator[tuple[tuple[int, ...], tuple | N
         known[seq] = offered
 
 
+def _graphs(degs):
+    """``(graph, branch_sizes)`` at each leaf of ``_walk(degs)``: each edge
+    code is decoded once, into a pair that every later graph shares."""
+    n, pairs, graph = len(degs), {}, LabeledGraph._trusted
+    for codes, sizes in _walk(degs):
+        try:
+            g = graph(n, map(pairs.__getitem__, codes))
+        except KeyError:
+            g = graph(n, [pairs.setdefault(c, divmod(c, n + 1)) for c in codes])
+        yield g, sizes
+
+
 def enumerate_all(d) -> Iterator[LabeledGraph]:
     """Lazily yield every labeled simple graph realizing d, each exactly once.
 
     Non-graphical input yields nothing.  Order is deterministic: depth
     first, adjacency sets in decreasing colex order at every level.
     """
-    degs = as_residuals(d)
-    for edges, _ in _walk(degs):
-        yield LabeledGraph._trusted(len(degs), edges)
+    for g, _ in _graphs(as_residuals(d)):
+        yield g
 
 
 def enumerate_all_parallel(
@@ -345,8 +366,8 @@ def count_realizations(d) -> CountResult:
     if not erdos_gallai_test(degs).graphical:
         return CountResult(0, 0, 0)
     key = _key(degs)
-    memo: dict[tuple[int, ...], int] = {(): 1}
-    held: dict[tuple[int, ...], tuple] = {}  # groupings of multisets not yet counted
+    memo = {(): 1}
+    held = {}  # groupings of multisets not yet counted
     lookups = 0  # references to nonempty children
     stack = [key] if key else []
     while stack:

@@ -251,10 +251,9 @@ def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
     1 for any graphical sequence.
     """
     from fractions import Fraction
-    from .enumeration import _walk
-    degs = as_residuals(d)
-    for edges, branch_sizes in _walk(degs):
-        yield LabeledGraph._trusted(len(degs), edges), Fraction(1, math.prod(branch_sizes))
+    from .enumeration import _graphs
+    for g, branch_sizes in _graphs(as_residuals(d)):
+        yield g, Fraction(1, math.prod(branch_sizes))
 
 
 def molloy_reed_sample(

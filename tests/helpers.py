@@ -5,6 +5,7 @@ import inspect
 import itertools
 import sys
 
+from graphreal import enumeration
 from graphreal.graphicality import erdos_gallai_test
 
 HH_GAP_SEQUENCE = (3, 3, 2, 2, 2, 2, 2, 2)
@@ -35,6 +36,16 @@ def graphical_family(max_n=6):
             if erdos_gallai_test(seq).graphical:
                 out.append(seq)
     return out
+
+
+def walk_pairs(degs, names=None):
+    """The leaves of ``enumeration._walk(degs, names)`` with each edge code
+    a * N + b decoded to its pair (a, b) of names, N the largest name + 1
+    (n + 1 without names).  The order of the leaves, the order of the edges
+    in each leaf and the branch sizes are the walk's."""
+    base = max(names or range(len(degs) + 1)) + 1
+    for codes, sizes in enumeration._walk(degs, names):
+        yield tuple(divmod(code, base) for code in codes), sizes
 
 
 def canonical_set(graphs):

@@ -462,9 +462,10 @@ def weighted_shape(n):
 
 
 @functools.cache
-def emitted(text, fmt, oracle=False):
+def emitted(text, fmt, oracle=False, limit=None):
     """The records ``enumerate -s text`` writes, made from the public API:
-    ``enumerate_all``, or the oracle's graphs in order of their edges."""
+    ``enumerate_all``, or the oracle's graphs in order of their edges; the
+    first ``limit`` of them if it is given."""
     raw = [int(x) for x in text.split()]
     d = validate_input_sequence(raw)
     if oracle:
@@ -475,7 +476,7 @@ def emitted(text, fmt, oracle=False):
     separator = "\n" if fmt == "text" else ""
     return tuple(
         TestEmittedBytes.record(TestEmittedBytes.in_input_labels(g, raw), fmt) + separator
-        for g in graphs
+        for g in itertools.islice(graphs, limit)
     )
 
 
@@ -503,12 +504,12 @@ class TestEmittedBytes:
             return json.dumps(payload, separators=(",", ":")) + "\n"
         return format_graph(g) + "\n"
 
-    @pytest.mark.parametrize("text", INPUTS)
+    @pytest.mark.parametrize("text", [*INPUTS, *WIDE])
     @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
     @pytest.mark.parametrize("limit", [None, 3])
     def test_enumerate(self, text, fmt, limit):
         raw = [int(x) for x in text.split()]
-        graphs = list(enumerate_all(validate_input_sequence(raw)))[:limit]
+        graphs = itertools.islice(enumerate_all(validate_input_sequence(raw)), limit)
         separator = "\n" if fmt == "text" else ""
         want = "".join(
             self.record(self.in_input_labels(g, raw), fmt) + separator for g in graphs
@@ -516,6 +517,26 @@ class TestEmittedBytes:
         argv = ["enumerate", "-s", text, "--format", fmt]
         argv += ["--limit", str(limit)] if limit is not None else []
         assert invoke(argv) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+    def test_enumerate_random_labels(self, fmt):
+        # Degree sequences of seeded random graphs on up to 14 nodes, labels
+        # shuffled, most with nodes of degree 0, so that names run past the
+        # nodes of positive degree and into two digits.
+        rng = random.Random(24)
+        for _ in range(210):
+            n = rng.randint(1, 14)
+            p = rng.random() * 5 / n
+            degs = [0] * n
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    degs[u] += 1
+                    degs[v] += 1
+            rng.shuffle(degs)
+            text = " ".join(map(str, degs))
+            want = "".join(emitted(text, fmt, limit=200))
+            assert invoke(["enumerate", "-s", text, "--format", fmt, "--limit", "200"]) == (
+                0, want, ""), text
 
     # 9,308 graphs: several blocks of output in either format.
     MANY = "4 2 4 1 3 4 2 3 1"

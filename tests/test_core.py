@@ -14,6 +14,7 @@ from graphreal.core import (
     InvalidSet,
     LabeledGraph,
     ParseError,
+    as_residuals,
     format_graph,
     format_sequence,
     graph_degree_sequence,
@@ -22,8 +23,12 @@ from graphreal.core import (
     parse_sequences,
     validate_input_sequence,
 )
-from graphreal.enumeration import enumerate_all
-from graphreal.graphicality import NodeSelectionPolicy, havel_hakimi_construct
+from graphreal.enumeration import count_realizations, enumerate_all
+from graphreal.graphicality import (
+    NodeSelectionPolicy,
+    erdos_gallai_test,
+    havel_hakimi_construct,
+)
 from graphreal.sampling import (
     enumerate_with_probabilities,
     molloy_reed_sample,
@@ -40,6 +45,42 @@ def library_graphs(seq):
     yield molloy_reed_sample(seq, 0)[0]  # dense sequences restart often
     for policy in NodeSelectionPolicy:
         yield havel_hakimi_construct(seq, policy)
+
+
+class TestDegreesMustBeASequence:
+    # A mapping iterates over its keys and a set in its own order, so neither
+    # labels its degrees: {1: 1, 2: 1} was counted as the sequence 1, 2, and
+    # a set lost its repeated degrees.  Every public input is refused.
+    @pytest.mark.parametrize("degrees", [
+        {1: 1, 2: 1}, {2: 5, 1: 5}, {}, {3, 1, 2}, frozenset({1, 1}), set(),
+    ])
+    @pytest.mark.parametrize("fn", [
+        as_residuals,
+        DegreeSequence,
+        validate_input_sequence,
+        erdos_gallai_test,
+        count_realizations,
+        format_sequence,
+        lambda d: list(enumerate_all(d)),
+        lambda d: list(enumerate_with_probabilities(d)),
+        lambda d: sample_weighted(d, 0),
+        lambda d: molloy_reed_sample(d, 0),
+        havel_hakimi_construct,
+    ])
+    def test_mappings_and_sets_are_refused(self, fn, degrees):
+        with pytest.raises(InvalidDegree):
+            fn(degrees)
+
+    def test_message_names_the_type(self):
+        with pytest.raises(InvalidDegree, match="not a frozenset"):
+            count_realizations(frozenset({1, 1}))
+
+    @pytest.mark.parametrize("degrees, want", [
+        ((2, 1, 1), (2, 1, 1)), ([2, 1, 1], (2, 1, 1)), (range(3), (0, 1, 2)),
+        (iter([1, 1]), (1, 1)), (DegreeSequence((1, 1)), (1, 1)),
+    ])
+    def test_sequences_and_iterables_still_pass(self, degrees, want):
+        assert as_residuals(degrees) == want
 
 
 class TestValidateInputSequence:

@@ -12,6 +12,7 @@ from helpers import (
     canonical_set,
     graphical_family,
     recursion_headroom,
+    walk_pairs,
 )
 from kernel_references import walk_reference
 
@@ -20,6 +21,7 @@ from graphreal.core import InvalidDegree, NotGraphical, graph_degree_sequence
 from graphreal.constrained import cg_test, colex_less
 from graphreal.enumeration import (
     _draw,
+    _sorted_view,
     _walk,
     all_adjacency_sets,
     count_realizations,
@@ -198,9 +200,9 @@ def test_walk_with_names_relabels_each_leaf():
         want = [
             (tuple((a, b) if (a := names[u]) < (b := names[v]) else (b, a)
                    for u, v in edges), sizes)
-            for edges, sizes in _walk(seq)
+            for edges, sizes in walk_pairs(seq)
         ]
-        assert list(_walk(seq, names=names)) == want, seq
+        assert list(walk_pairs(seq, names=names)) == want, seq
 
 
 def leaves(walk, limit=None):
@@ -248,7 +250,7 @@ class TestWalkMatchesReference:
             positions = list(range(1, len(seq) + 1))
             rng.shuffle(positions)
             names = (0, *positions)
-            assert leaves(_walk(seq, names=names)) == leaves(
+            assert leaves(walk_pairs(seq, names=names)) == leaves(
                 walk_reference(seq, names=names)), seq
         for seq in graphical_family(max_n=7) + random_graphical(random.Random(17), 300):
             for seed in range(3):
@@ -259,7 +261,7 @@ class TestWalkMatchesReference:
 
     def test_bench_multiset_first_leaves(self):
         seq = (4,) * 6 + (3,) * 8
-        assert leaves(_walk(seq), 20_000) == leaves(walk_reference(seq), 20_000)
+        assert leaves(walk_pairs(seq), 20_000) == leaves(walk_reference(seq), 20_000)
 
     def test_sampler_picks_on_bench_multiset(self):
         seq = (4,) * 6 + (3,) * 8
@@ -271,7 +273,7 @@ class TestWalkMatchesReference:
 
     @pytest.mark.parametrize("seq", [(), (0, 0), (1, 1), (2, 1, 1), (1, 1, 1, 1), (3, 3)])
     def test_small_and_degenerate(self, seq):
-        assert list(_walk(seq)) == list(walk_reference(seq))
+        assert list(walk_pairs(seq)) == list(walk_reference(seq))
 
     @pytest.mark.parametrize("keep", [0, 40, 300])
     def test_lists_dropped_for_room(self, monkeypatch, keep):
@@ -279,7 +281,22 @@ class TestWalkMatchesReference:
         # afresh; the leaves stay the same.
         monkeypatch.setattr(enumeration, "_KEEP", keep)
         for seq in [(4, 4, 4, 3, 3, 2, 2, 1, 1), (3, 3, 3, 3, 2, 2, 2, 2), (2,) * 7]:
-            assert leaves(_walk(seq)) == leaves(walk_reference(seq)), seq
+            assert leaves(walk_pairs(seq)) == leaves(walk_reference(seq)), seq
+
+
+def test_walk_sorts_each_residuals_once(monkeypatch):
+    # Most levels stand on residuals an earlier level stood on; the walk
+    # sorts and names each of them once, and the leaves stay the reference's.
+    seen = []
+
+    def sorted_view(residual):
+        seen.append(tuple(residual))
+        return _sorted_view(residual)
+
+    monkeypatch.setattr(enumeration, "_sorted_view", sorted_view)
+    seq = (4, 4, 4, 3, 3, 2, 2, 1, 1)
+    assert leaves(walk_pairs(seq)) == leaves(walk_reference(seq))
+    assert len(seen) == len(set(seen)) == 470
 
 
 def test_kept_lists_stay_bounded():
