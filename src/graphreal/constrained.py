@@ -35,8 +35,16 @@ class ReducedSequence(_Record):
         return tuple(sorted(positive, reverse=True))
 
 
+def _check_sets(*sets) -> None:
+    """InvalidSet unless every one of ``sets`` is an AdjacencySet."""
+    for a in sets:
+        if not isinstance(a, AdjacencySet):
+            raise InvalidSet(f"expected an AdjacencySet, got {type(a).__name__}")
+
+
 def reduce_by_set(d, a: AdjacencySet) -> ReducedSequence:
     """Remove the focal node, decrementing each member's degree by one."""
+    _check_sets(a)
     residuals = list(as_residuals(d))
     n = len(residuals)
     if not (1 <= a.focal <= n):
@@ -51,6 +59,7 @@ def reduce_by_set(d, a: AdjacencySet) -> ReducedSequence:
 
 def set_leq(b: AdjacencySet, a: AdjacencySet) -> bool:
     """Elementwise order on equal-size adjacency sets: b is "to the left"."""
+    _check_sets(b, a)
     if b.focal != a.focal or len(b) != len(a):
         raise Incomparable("sets must share focal node and cardinality")
     return all(x <= y for x, y in zip(b.members, a.members))
@@ -58,6 +67,7 @@ def set_leq(b: AdjacencySet, a: AdjacencySet) -> bool:
 
 def colex_less(a: AdjacencySet, b: AdjacencySet) -> bool:
     """Strict colexicographic order: compare at the largest differing position."""
+    _check_sets(a, b)
     if len(a) != len(b):
         raise Incomparable("sets must have equal cardinality")
     return tuple(reversed(a.members)) < tuple(reversed(b.members))

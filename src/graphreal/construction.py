@@ -13,7 +13,6 @@ from heapq import heappop, heappush
 
 from .core import (
     DegreeTooLarge,
-    InvalidArgument,
     InvalidDegree,
     NotGraphical,
     as_residuals,
@@ -33,10 +32,7 @@ def _hh_rows(d, policy, names=None) -> list[list[int]]:
     a neighbour of the focal node: every earlier edge has an earlier focal
     node at one end, and that node's residual is 0.
     """
-    try:
-        policy = NodeSelectionPolicy(policy)
-    except ValueError:
-        raise InvalidArgument(f"unknown policy {policy!r}") from None
+    policy = NodeSelectionPolicy(policy)
     degs = as_residuals(d)
     n = len(degs)
     if degs and min(degs) < 0:

@@ -9,6 +9,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 
 
@@ -47,7 +48,7 @@ class TooManyForbidden(GraphRealError):
 class InvalidArgument(GraphRealError, ValueError):
     """An argument other than a degree or a label is of the wrong type or
     out of range: a policy name, a sample count, a seed, a stream, a
-    restart budget or a graph's node count."""
+    restart budget, a thread count, a permutation or a graph's node count."""
 
 
 class OracleTooLarge(GraphRealError):
@@ -131,7 +132,8 @@ class DegreeSequence(_Record):
             if a < b:
                 raise InvalidDegree("degree sequence must be nonincreasing")
         object.__setattr__(self, "degrees", degs)
-        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "permutation", permutation if permutation is None
+                           else _integers(permutation, InvalidArgument))
 
     @property
     def n(self) -> int:
@@ -192,9 +194,9 @@ def validate_input_sequence(raw: Sequence[int]) -> DegreeSequence:
     Raises InvalidDegree for an empty input or a negative entry, and
     DegreeTooLarge when the top degree exceeds n - 1 after zero-stripping.
     """
-    if len(raw) == 0:
-        raise InvalidDegree("degree sequence must be nonempty")
     entries = as_residuals(raw)
+    if not entries:
+        raise InvalidDegree("degree sequence must be nonempty")
     if any(x < 0 for x in entries):
         raise InvalidDegree(f"negative degree in {entries}")
     order = sorted(range(len(entries)), key=lambda i: -entries[i])
@@ -300,8 +302,8 @@ class LabeledGraph(_Record):
 
     def __init__(self, n: int, edges: Iterable = ()):
         (n,) = _integers((n,), InvalidArgument)
-        if n < 0:
-            raise InvalidArgument(f"node count must be >= 0, got {n}")
+        if not 0 <= n <= sys.maxsize:
+            raise InvalidArgument(f"node count must be in 0..{sys.maxsize}, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _canonical_edges(n, edges))
 

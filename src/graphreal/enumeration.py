@@ -21,7 +21,7 @@ from itertools import combinations, takewhile
 from math import comb, prod
 
 from .core import AdjacencySet, DegreeSequence, LabeledGraph, NotGraphical, as_residuals
-from .core import _Record
+from .core import InvalidArgument, _integers, _Record
 from .graphicality import _eg_counts, _residual_counts, erdos_gallai_test
 
 
@@ -344,8 +344,10 @@ def enumerate_all_parallel(
     """Serial alias of :func:`enumerate_all`, kept for compatibility.
 
     ``threads`` and ``ordered`` are ignored: the stream is always the
-    single-threaded one, in its deterministic order.
+    single-threaded one, in its deterministic order.  ``threads`` must
+    still be an integer, else InvalidArgument.
     """
+    _integers((threads,), InvalidArgument)
     return enumerate_all(d)
 
 

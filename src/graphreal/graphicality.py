@@ -9,6 +9,7 @@ from operator import mul
 from .core import (
     DegreeSequence,
     DegreeTooLarge,
+    InvalidArgument,
     InvalidDegree,
     LabeledGraph,
     NotGraphical,
@@ -33,6 +34,10 @@ class NodeSelectionPolicy(enum.Enum):
     MAX_RESIDUAL = "max"
     MIN_RESIDUAL = "min"
     FIXED_LABEL_ORDER = "fixed"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidArgument(f"unknown policy {value!r}")
 
 
 def erdos_gallai_test(d, check_all_k: bool = False) -> EgReport:

@@ -1,4 +1,5 @@
-"""Samplers: weighted tree descent with exact probabilities, and stub matching.
+"""Samplers: weighted tree descent with exact probabilities, and Molloy-Reed
+stub matching, whose early rejection imports the CG kernel of ``constrained``.
 
 The RNG is an explicit splitmix64 generator so that identical seeds give
 bit-identical samples everywhere: stream ``i`` of seed ``s`` starts from
@@ -39,15 +40,13 @@ class SplitMix64:
     """Minimal splittable 64-bit generator (splitmix64)."""
 
     def __init__(self, state: int):
+        (state,) = _integers((state,), InvalidArgument)
         self._state = state & _MASK
 
     @classmethod
     def stream(cls, seed: int, index: int) -> "SplitMix64":
-        return cls._stream(*_integers((seed, index), InvalidArgument))
-
-    @classmethod
-    def _stream(cls, seed: int, index: int) -> "SplitMix64":  # checked ints
-        return cls(_mix64(seed & _MASK) ^ _mix64((index + 1) & _MASK))
+        seed, index = _integers((seed, index), InvalidArgument)
+        return cls(_mix64(seed) ^ _mix64(index + 1))  # _mix64 reduces mod 2**64
 
     def next_u64(self) -> int:
         return self.randrange(_WORD)
@@ -176,7 +175,7 @@ def _estimate(d, samples, seed):
     total = total_sq = 0
     rng, mixed_seed = SplitMix64(0), _mix64(seed)
     for i in range(samples):
-        rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64._stream(seed, i)
+        rng._state = mixed_seed ^ _mix64(i + 1)  # SplitMix64.stream(seed, i)
         key, w = root, 1  # w ends as the product of |A(d)|: exactly 1 / P(G)
         while True:
             size, totals, children = table.get(key) or _node(table, key)
@@ -256,6 +255,35 @@ def enumerate_with_probabilities(d) -> Iterator[tuple[LabeledGraph, Fraction]]:
         yield g, Fraction(1, math.prod(branch_sizes))
 
 
+def _stub_tree(residual) -> list[int]:
+    """A Fenwick tree (Fenwick 1994) over ``residual``, padded with nodes of
+    residual 0 to a power of two above n, so a descent needs no bound check.  O(n)."""
+    size = 1 << len(residual).bit_length()
+    tree = [0, *residual] + [0] * (size - len(residual))
+    for k in range(1, size):
+        tree[k + (k & -k)] += tree[k]
+    return tree
+
+
+def _take_stub(tree: list[int], r: int) -> int:
+    """Take stub r out of ``tree`` and return its node in O(log n): the
+    first v with r < r_1 + ... + r_v, 0 <= r < r_1 + ... + r_n.
+
+    Below the root, the nodes whose range holds v are those where the
+    descent does not step right, so the stub leaves them there.
+    """
+    v, step = 0, len(tree) >> 1  # tree[2 * step], the root, is never read
+    while step:
+        k = v + step
+        if tree[k] <= r:
+            v = k
+            r -= tree[k]
+        else:
+            tree[k] -= 1
+        step >>= 1
+    return v + 1
+
+
 def molloy_reed_sample(
     d,
     seed: int,
@@ -274,14 +302,13 @@ def molloy_reed_sample(
     connection updates in O(1), so it costs O(max degree + neighbours).
     A stub is drawn in O(log n) from a Fenwick tree over the residuals.
     The budget caps the total number of stub pairings drawn across
-    restarts.
+    restarts.  Only ``early_reject`` imports ``constrained``.
     """
     (budget,) = _integers((budget,), InvalidArgument)
     degs = as_residuals(d)
     _check_graphical(degs)
-    if early_reject:  # this module's attribute, made by __getattr__ at first use
-        cg_counts = globals().get("_cg_counts") or __getattr__("_cg_counts")
-    from .stubs import _stub_tree, _take_stub
+    if early_reject:
+        from .constrained import _cg_counts
     n = len(degs)
     rng = SplitMix64.stream(seed, stream)
     stats = MrRunStats()
@@ -322,9 +349,9 @@ def molloy_reed_sample(
                 # exceeds its non-neighbours: the CG test's preconditions
                 # hold.  With i and j at residual 0, j's verdict is i's.
                 if not (
-                    cg_counts(counts, residual, i, adjacency[i])
+                    _cg_counts(counts, residual, i, adjacency[i])
                     and (residual[i - 1] == residual[j - 1] == 0
-                         or cg_counts(counts, residual, j, adjacency[j]))
+                         or _cg_counts(counts, residual, j, adjacency[j]))
                 ):
                     fail = "cg_reject"
                     break
@@ -333,13 +360,3 @@ def molloy_reed_sample(
             return LabeledGraph._trusted(n, edges), stats
         stats.restarts += 1
         stats.rejection_causes[fail] += 1
-
-
-def __getattr__(name: str):
-    # PEP 562: the CG kernel, which only Molloy-Reed early rejection runs, is
-    # imported from ``constrained`` at its first lookup, not with this module.
-    if name != "_cg_counts":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .constrained import _cg_counts
-    globals()[name] = _cg_counts
-    return _cg_counts

@@ -372,15 +372,11 @@ def test_no_cg_test_on_construction_paths(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("CG test called")
 
-    # cg_test and the residual-count kernel behind it, wherever imported.
-    # (``rightmost_adjacency_set`` imports cg_test from constrained when called.)
-    # sampling imports the kernel from constrained at its first lookup, so it is
-    # looked up before constrained's is patched: otherwise sampling would cache
-    # the stub, and teardown would restore the stub there for later tests.
-    assert sampling._cg_counts is constrained._cg_counts
-    for module, name in [(constrained, "cg_test"), (constrained, "_cg_counts"),
-                         (sampling, "_cg_counts")]:
-        monkeypatch.setattr(module, name, forbidden)
+    # cg_test and the residual-count kernel behind it.  Their callers
+    # (``rightmost_adjacency_set``, Molloy-Reed early rejection) import them
+    # from constrained when called.
+    for name in ["cg_test", "_cg_counts"]:
+        monkeypatch.setattr(constrained, name, forbidden)
     assert count_realizations(HH_GAP_SEQUENCE).count == HH_GAP_COUNT
     assert sum(1 for _ in enumerate_all(HH_GAP_SEQUENCE)) == HH_GAP_COUNT
     sampling.sample_weighted(HH_GAP_SEQUENCE, 1)

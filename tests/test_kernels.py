@@ -27,7 +27,7 @@ from kernel_references import (
     molloy_reed_reference,
 )
 
-from graphreal import sampling
+from graphreal import constrained, sampling
 from graphreal.construction import _hh_rows
 from graphreal.constrained import _cg_counts, cg_test, leftmost_restricted, reduce_by_set
 from graphreal.core import (
@@ -48,7 +48,7 @@ from graphreal.graphicality import (
     havel_hakimi_construct,
 )
 from graphreal.oracle import OracleQuery, oracle_exists
-from graphreal.stubs import _stub_tree, _take_stub
+from graphreal.sampling import _stub_tree, _take_stub
 
 
 def outcome(fn, *args):
@@ -386,14 +386,14 @@ class TestCgKernel:
         # Every state early rejection tests, rejected ones included, gets
         # the verdict of the explicit composition.
         verdicts = {}
-        kernel = sampling._cg_counts
+        kernel = _cg_counts
 
         def recording(counts, residual, i, x):
             verdict = kernel(counts, residual, i, x)
             verdicts[tuple(residual), i, frozenset(x)] = verdict
             return verdict
 
-        monkeypatch.setattr(sampling, "_cg_counts", recording)
+        monkeypatch.setattr(constrained, "_cg_counts", recording)
         for k, seq in enumerate(mr_views()):
             sampling.molloy_reed_sample(seq, k % 3, early_reject=True, stream=k % 4)
         assert False in verdicts.values() and True in verdicts.values()

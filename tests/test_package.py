@@ -1,5 +1,6 @@
 """The package's public names, and the modules a command-line call loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -155,6 +156,35 @@ class TestStartUp:
         added = cli_modules(argv)
         assert "graphreal.enumeration" in added
         assert not added & {"fractions", "decimal"}
+
+    @pytest.mark.parametrize("early_reject", [False, True])
+    def test_mr_sample_loads_the_constrained_module_only_to_reject_early(self,
+                                                                         early_reject):
+        argv = ["sample", "-s", "2 2 2 2", "--method", "mr", "--seed", "1"]
+        added = cli_modules(argv + ["--early-reject"] * early_reject)
+        assert ("graphreal.constrained" in added) is early_reject
+
+    def test_no_call_loads_a_stubs_module(self):
+        for argv in [["sample", "-s", "2 2 2 2", "--method", "mr", "--early-reject"],
+                     ["sample", "-s", "2 2 2 1 1", "--samples", "2"],
+                     ["estimate", "-s", "2 2 2 1 1", "--samples", "3"],
+                     ["enumerate", "-s", "2 2 2 1 1"], ["count", "-s", "2 2 2"],
+                     ["construct", "-s", "2 2 2"], ["test", "-s", "2 2", "--forbid", "1:"]]:
+            assert "graphreal.stubs" not in cli_modules(argv), argv
+        assert "graphreal.stubs" not in modules_added(
+            "import graphreal; from graphreal import *")
+
+    def test_no_submodule_defines_a_module_getattr(self):
+        # Only the package resolves names lazily; each submodule binds its
+        # names when it runs.
+        package = Path(graphreal.__file__).parent
+        submodules = sorted(set(package.glob("*.py")) - {package / "__init__.py"})
+        assert package / "sampling.py" in submodules
+        for path in submodules:
+            tree = ast.parse(path.read_text())
+            names = {node.name for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            assert "__getattr__" not in names, path.name
 
     def test_no_dataclasses_anywhere(self):
         assert "dataclasses" not in modules_added(
