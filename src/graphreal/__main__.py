@@ -1,6 +1,5 @@
-# core before cli: with no bytecode cache, core.py's compile then peaks
-# before cli.py is loaded, not on top of it (about 0.1 MB per call).
-from . import core  # noqa: F401
+# cli before core: with no bytecode cache, cli.py's compile is the larger
+# one, and core.py's compile then reuses its memory (about 0.1 MB per call).
 from .cli import main
 
 main()

@@ -6,17 +6,29 @@ sequence per line).  Exit codes: 0 success / graphical, 1 not graphical,
 that fails gets an ``error:`` line on stderr, the batch goes on, and the
 exit code is the worst of any line.
 
+The command line is read from one table, ``_COMMANDS``: each subcommand's
+function, help line and options, each option with its flags, converter,
+default and help line.  ``_parse`` reads ``argv`` as argparse would and
+gives the same namespace, and ``-h``/``--help`` prints text made from the
+same table, so neither can drift from the other.  Options may be written
+``--name value``, ``--name=value`` or as a unique prefix of ``--name``;
+``-s`` also takes ``-svalue``.  A usage error (an unknown option or extra
+argument, a missing or bad value, an ambiguous prefix, no subcommand)
+prints a usage line and ``graphreal <cmd>: error: ...`` on stderr and
+exits 2 before any input is read.  argparse itself is not imported: its
+import and parser build were most of a call's start-up.
+
 Each subcommand imports the modules it runs when it runs, so a call loads
 no more of the library than it needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import os
 import sys
+from types import SimpleNamespace
 
 from .core import (
     DegreeTooLarge,
@@ -32,92 +44,17 @@ from .core import (
 )
 from .graphicality import NodeSelectionPolicy, erdos_gallai_test
 
+
 def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+    """A converter: an integer no smaller than ``low``."""
 
     def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid integer"
+        value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
 
     return integer
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphreal",
-        description="Decide, construct, enumerate, count and sample simple "
-        "graphs realizing integer degree sequences.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "input",
-            nargs="?",
-            default="-",
-            help="file with one degree sequence per line, or '-' for stdin",
-        )
-        p.add_argument(
-            "-s",
-            "--sequence",
-            help="inline degree sequence, e.g. '3 2 2 1' (overrides input)",
-        )
-
-    p_test = sub.add_parser("test", help="decide graphicality")
-    add_common(p_test)
-    p_test.add_argument(
-        "--forbid",
-        type=_forbid_spec,
-        metavar="i:j1,j2,...",
-        help="forbid all connections from node i to the listed nodes",
-    )
-
-    p_con = sub.add_parser("construct", help="build one Havel-Hakimi realization")
-    add_common(p_con)
-    p_con.add_argument(
-        "--policy",
-        choices=sorted(policy.value for policy in NodeSelectionPolicy),
-        default="max",
-    )
-
-    p_enum = sub.add_parser("enumerate", help="stream every labeled realization")
-    add_common(p_enum)
-    p_enum.add_argument(
-        "--limit", type=_at_least(0), help="stop after this many graphs"
-    )
-    p_enum.add_argument("--format", choices=["text", "jsonlines"], default="text")
-    p_enum.add_argument(
-        "--threads", type=int, default=1, help="ignored: enumeration is serial"
-    )
-    p_enum.add_argument(
-        "--ordered", action="store_true", help="ignored: output is always in order"
-    )
-
-    p_count = sub.add_parser("count", help="exact number of labeled realizations")
-    add_common(p_count)
-    for p in (p_test, p_enum, p_count):  # the subcommands that can ask the oracle
-        p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-
-    p_sample = sub.add_parser("sample", help="draw random realizations")
-    add_common(p_sample)
-    p_sample.add_argument("--method", choices=["weighted", "mr"], default="weighted")
-    p_sample.add_argument("--samples", type=_at_least(1), default=1)
-    p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--early-reject", action="store_true")
-    p_sample.add_argument("--format", choices=["text", "jsonlines"], default="text")
-
-    p_est = sub.add_parser("estimate", help="importance-sampling count estimate")
-    add_common(p_est)
-    p_est.add_argument("--samples", type=_at_least(1), default=1000)
-    p_est.add_argument("--seed", type=int, default=None)
-    p_est.add_argument(
-        "--with-exact",
-        action="store_true",
-        help="also compute the exact count for comparison",
-    )
-    return parser
 
 
 def _read_lines(args) -> list[str]:
@@ -135,13 +72,13 @@ def _read_lines(args) -> list[str]:
 
 
 def _forbid_spec(spec: str) -> ForbiddenSet:
-    """An argparse type: ``i:j1,j2,...`` as the forbidden star of node i."""
+    """A converter: ``i:j1,j2,...`` as the forbidden star of node i."""
     try:
         focal_part, members_part = spec.split(":", 1)
         members = (int(tok) for tok in members_part.split(",") if tok.strip())
         return ForbiddenSet(int(focal_part), frozenset(members))
     except (ValueError, GraphRealError) as exc:
-        raise argparse.ArgumentTypeError(f"bad spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad spec {spec!r}: {exc}") from exc
 
 
 class _Emitter(contextlib.AbstractContextManager):
@@ -350,14 +287,57 @@ def _decimal(x: int) -> str:
     return "".join(reversed(chunks))
 
 
+# Options, each (flags, dest, convert, default, help).  The value is stored
+# under ``dest``.  ``convert`` makes it from the option's text and raises
+# ValueError for a bad one; a tuple lists the values allowed, and None marks
+# a flag, which takes no value and stores True.
+_HELP = ("-h --help", "help", None, None, "show this help and exit")
+_SEQUENCE = ("-s --sequence", "sequence", str, None,
+             "inline degree sequence, e.g. '3 2 2 1' (overrides input)")
+_ORACLE = ("--oracle", "oracle", None, False, "answer with the brute-force oracle (small n only)")
+_FORMAT = ("--format", "format", ("text", "jsonlines"), "text",
+           "text blocks or one JSON line per graph")
+_SEED = ("--seed", "seed", int, None, "sampler seed (default: $GRAPHREAL_SEED, else 0)")
+
+# Each subcommand: the function that answers one input line, its help line
+# and its options.  The parser and the help text are both read from here.
 _COMMANDS = {
-    "test": _cmd_test,
-    "construct": _cmd_construct,
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "sample": _cmd_sample,
-    "estimate": _cmd_estimate,
+    "test": (_cmd_test, "decide graphicality", (
+        _SEQUENCE,
+        ("--forbid", "forbid", _forbid_spec, None,
+         "forbid all connections from node i to nodes j1, j2, ... as i:j1,j2,..."),
+        _ORACLE)),
+    "construct": (_cmd_construct, "build one Havel-Hakimi realization", (
+        _SEQUENCE,
+        ("--policy", "policy", tuple(sorted(policy.value for policy in NodeSelectionPolicy)),
+         "max", "which node connects all its stubs next"))),
+    "enumerate": (_cmd_enumerate, "stream every labeled realization", (
+        _SEQUENCE,
+        ("--limit", "limit", _at_least(0), None, "stop after this many graphs"),
+        _FORMAT,
+        ("--threads", "threads", int, 1, "ignored: enumeration is serial"),
+        ("--ordered", "ordered", None, False, "ignored: output is always in order"),
+        _ORACLE)),
+    "count": (_cmd_count, "exact number of labeled realizations", (_SEQUENCE, _ORACLE)),
+    "sample": (_cmd_sample, "draw random realizations", (
+        _SEQUENCE,
+        ("--method", "method", ("weighted", "mr"), "weighted",
+         "weighted sampler, or Molloy-Reed stub matching"),
+        ("--samples", "samples", _at_least(1), 1, "graphs per sequence"),
+        _SEED,
+        ("--early-reject", "early_reject", None, False,
+         "mr: restart as soon as no completion is left"),
+        _FORMAT)),
+    "estimate": (_cmd_estimate, "importance-sampling count estimate", (
+        _SEQUENCE,
+        ("--samples", "samples", _at_least(1), 1000, "weighted draws per sequence"),
+        _SEED,
+        ("--with-exact", "with_exact", None, False,
+         "also compute the exact count for comparison"))),
 }
+_ABOUT = ("Decide, construct, enumerate, count and sample simple graphs "
+          "realizing integer degree sequences.")
+_INPUT = "file with one degree sequence per line, or '-' for stdin (default)"
 
 
 def _failure(exc: Exception, err) -> int:
@@ -369,9 +349,8 @@ def _failure(exc: Exception, err) -> int:
 def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = _COMMANDS[args.subcommand]
+    args = _parse(argv, out, err)
+    command = _COMMANDS[args.subcommand][0]
     try:
         lines = _read_lines(args)
     except (GraphRealError, OSError, ValueError) as exc:
@@ -387,6 +366,109 @@ def run(argv=None, out=None, err=None) -> int:
             code = _failure(exc, err)
         worst = max(worst, code)
     return worst
+
+
+def _parse(argv, out, err) -> SimpleNamespace:
+    """``argv`` (default ``sys.argv[1:]``) read as argparse reads it: the
+    subcommand, its ``input`` and the value of each of its options.
+
+    Before the subcommand only -h is an option.  An option is given as
+    ``--name value``, ``--name=value``, a unique prefix of ``--name`` in
+    either form, or ``-s value``, ``-svalue``, ``-s=value``.  An argument
+    that starts with '-' is a value only if it is '-', has a space or is a
+    negative number, and so is every argument after ``--``.  -h writes the
+    help text to ``out`` and exits 0.  A usage error writes the usage line
+    and ``graphreal <cmd>: error: ...`` to ``err`` and exits 2.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, args, values, extras = None, {}, [], []
+    while argv:
+        arg = argv.pop(0)
+        if arg == "--" and command:
+            values += argv
+            break
+        kind = _kind(command, arg, err)
+        if kind is None and command is None:
+            if arg not in _COMMANDS:
+                _usage(None, err, f"argument subcommand: invalid choice: {arg!r}")
+            command, args = arg, {"subcommand": arg}
+            for _, dest, _, default, _ in _COMMANDS[arg][2]:
+                args[dest] = default
+            for rest in itertools.takewhile("--".__ne__, argv):
+                _kind(command, rest, err)  # as argparse, refuse an ambiguous prefix first
+        elif not kind:
+            (extras if kind is False else values).append(arg)
+        else:
+            (flags, dest, convert, _, _), value = kind
+            name = flags.replace(" ", "/")
+            if convert is None:
+                if value is not None:
+                    _usage(command, err, f"argument {name}: ignored explicit argument {value!r}")
+                if dest == "help":
+                    _usage(command, out)
+                value = True
+            elif value is None:
+                if not argv or _kind(command, argv[0], err) is not None:
+                    _usage(command, err, f"argument {name}: expected one argument")
+                value = argv.pop(0)
+            if type(convert) is tuple and value not in convert:
+                _usage(command, err, f"argument {name}: invalid choice: {value!r}")
+            if callable(convert):
+                try:
+                    value = convert(value)
+                except ValueError as exc:
+                    _usage(command, err, f"argument {name}: {exc}")
+            args[dest] = value
+    if command is None:
+        _usage(None, err, "the following arguments are required: subcommand")
+    args["input"], *values = values or ["-"]
+    if extras or values:
+        _usage(command, err, f"unrecognized arguments: {' '.join(extras + values)}")
+    return SimpleNamespace(**args)
+
+
+def _kind(command, arg, err):
+    """``(option, the value written in arg or None)`` if ``arg`` names an
+    option of ``command``; else None for a value, False for an unknown option."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if arg[1] != "-" and len(arg) > 2:  # -svalue and -s=value
+        name, eq, value = arg[:2], "=", arg[2:].removeprefix("=")
+    hits = {}  # long flag: option, for each option that name abbreviates
+    for option in (_HELP, *_COMMANDS[command][2]) if command else (_HELP,):
+        *short, long = option[0].split()
+        if name in short or name == long:
+            return option, value if eq else None
+        if long.startswith(name) and name != "--":
+            hits[long] = option
+    if len(hits) > 1:
+        _usage(command, err, f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits.popitem()[1], value if eq else None
+    negative = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+    return None if negative or " " in arg else False
+
+
+def _usage(command, stream, error=None) -> None:
+    """Write the usage line of ``command`` (None: the program) to ``stream``,
+    then ``graphreal <cmd>: error: <error>`` and exit 2, or with no error
+    the help text made from ``_COMMANDS`` and exit 0."""
+    prog = f"graphreal {command}" if command else "graphreal"
+    text = f"usage: {prog} " + (
+        "[options] [input]" if command else f"[-h] {{{','.join(_COMMANDS)}}} ...")
+    if error is not None:
+        stream.write(f"{text}\n{prog}: error: {error}\n")
+        raise SystemExit(2)
+    rows = [("input", None, None, None, _INPUT), _HELP, *_COMMANDS[command][2]] if command else [
+        (name, None, None, None, about) for name, (_, about, _) in _COMMANDS.items()]
+    text += f"\n\n{_COMMANDS[command][1] if command else _ABOUT}\n\n"
+    for flags, dest, convert, _, about in rows:
+        if convert is not None:
+            flags += f" {{{','.join(convert)}}}" if type(convert) is tuple else f" {dest.upper()}"
+        text += f"  {flags.replace(' -', ', -'):<26}{about}\n"
+    stream.write(text)
+    raise SystemExit(0)
 
 
 def _closed_output(exc: BrokenPipeError, out, err) -> int:

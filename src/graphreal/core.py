@@ -262,6 +262,8 @@ class ForbiddenSet(_Record):
 
     def __init__(self, focal, members):
         focal, *members = _integers((focal,), InvalidSet) + _integers(members, InvalidSet)
+        if focal < 1:
+            raise InvalidSet(f"focal label {focal} out of range")
         if focal in members:
             raise InvalidSet("focal node cannot forbid itself")
         if any(m < 1 for m in members):

@@ -11,14 +11,18 @@ takes its standard error on ``Fraction``s (``float_sqrt_reference``),
 tuple and runs ``erdos_gallai_test`` on it, and ``walk_reference`` sorts the
 residuals at every inner node of the construction tree, the star levels
 just above the leaves included.  The library's kernels must agree with them
-exactly.
+exactly.  ``parser_reference`` is the command line's argparse parser, which
+the option table of ``graphreal.cli`` replaced; the table's parser must
+read every argument list it accepts into the same namespace.
 """
 
+import argparse
 import math
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
 
+from graphreal.cli import _at_least, _forbid_spec
 from graphreal.constrained import cg_test
 from graphreal.core import (
     DegreeTooLarge,
@@ -265,3 +269,53 @@ def walk_reference(degs, pick=None, names=None) -> Iterator[tuple[tuple, tuple[i
             residual[v - 1] -= 1
             edges.append((a, b) if a < (b := names[v]) else (b, a))
         residual[focal - 1] = 0
+
+
+def parser_reference() -> argparse.ArgumentParser:
+    """The argparse parser of the command line, with the converters of
+    ``graphreal.cli``; argparse reports their ValueError as a usage error."""
+    parser = argparse.ArgumentParser(prog="graphreal")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add_common(p):
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument("-s", "--sequence")
+
+    p_test = sub.add_parser("test")
+    add_common(p_test)
+    p_test.add_argument("--forbid", type=_forbid_spec)
+
+    p_con = sub.add_parser("construct")
+    add_common(p_con)
+    p_con.add_argument(
+        "--policy",
+        choices=sorted(policy.value for policy in NodeSelectionPolicy),
+        default="max",
+    )
+
+    p_enum = sub.add_parser("enumerate")
+    add_common(p_enum)
+    p_enum.add_argument("--limit", type=_at_least(0))
+    p_enum.add_argument("--format", choices=["text", "jsonlines"], default="text")
+    p_enum.add_argument("--threads", type=int, default=1)
+    p_enum.add_argument("--ordered", action="store_true")
+
+    p_count = sub.add_parser("count")
+    add_common(p_count)
+    for p in (p_test, p_enum, p_count):  # the subcommands that can ask the oracle
+        p.add_argument("--oracle", action="store_true")
+
+    p_sample = sub.add_parser("sample")
+    add_common(p_sample)
+    p_sample.add_argument("--method", choices=["weighted", "mr"], default="weighted")
+    p_sample.add_argument("--samples", type=_at_least(1), default=1)
+    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--early-reject", action="store_true")
+    p_sample.add_argument("--format", choices=["text", "jsonlines"], default="text")
+
+    p_est = sub.add_parser("estimate")
+    add_common(p_est)
+    p_est.add_argument("--samples", type=_at_least(1), default=1000)
+    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--with-exact", action="store_true")
+    return parser

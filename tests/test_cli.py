@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -15,9 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import ESTIMATE_SHAPED, unlimited_int_digits
-from kernel_references import estimate_reference
+from kernel_references import estimate_reference, parser_reference
 
-from graphreal.cli import _Emitter, _fixed6, run
+from graphreal.cli import _COMMANDS, _HELP, _Emitter, _fixed6, _parse, run
 from graphreal.construction import _hh_rows
 from graphreal.core import (
     LabeledGraph,
@@ -334,6 +335,160 @@ class TestBadCounts:
 
     def test_zero_limit_is_empty(self):
         assert invoke(["enumerate", "-s", "2 2 2 2", "--limit", "0"]) == (0, "", "")
+
+
+# A value argparse accepts and one it refuses, for each option of the table.
+GOOD_BAD = {
+    "sequence": ("-1 2", None), "forbid": ("1:2,3", "0:2"), "policy": ("min", "largest"),
+    "limit": ("0", "-1"), "format": ("jsonlines", "xml"), "threads": ("-4", "x"),
+    "method": ("mr", "uniform"), "samples": ("12", "0"), "seed": ("-5", "1.5"),
+}
+
+
+def _option_forms(command):
+    """Argument lists that give each option of ``command`` in every form:
+    each flag, with ``=``, short prefixes of its long flag, a good and a bad
+    value, no value, and an option where the value should be."""
+    options = _COMMANDS[command][2]
+    longs = [option[0].split()[-1] for option in (_HELP, *options)]
+    for flags, dest, convert, _, _ in options:
+        long = flags.split()[-1]
+        # Short prefixes, some ambiguous and some unique, and the whole flag.
+        names = flags.split()[:-1] + sorted({long[:3], long[:4], long[:5], long})
+        for name in names:
+            if convert is None:
+                yield [command, name]
+                yield [command, f"{name}=1"]
+                continue
+            good, bad = GOOD_BAD[dest]
+            for value in (good, bad):
+                if value is not None:
+                    yield [command, name, value]
+                    yield [command, f"{name}={value}"]
+            yield [command, name]  # no value
+            yield [command, name, "--oracle"]  # an option where the value goes
+        # No long flag starts another, so each whole flag is unambiguous.
+        assert sum(other.startswith(long) for other in longs) == 1
+
+
+PARSER_GRID = [
+    *(argv for command in _COMMANDS for argv in _option_forms(command)),
+    [], ["nope"], ["-x", "test"], ["--", "test"], ["test"], ["test", "-"], ["test", "in.txt"],
+    ["test", "a", "b"], ["test", "-s", "1 1", "in.txt"], ["test", "in.txt", "-s", "1 1"],
+    ["test", "-s", "-1 2"], ["test", "-s-1 2"], ["test", "-s=1 1"], ["test", "-s1 1"],
+    ["test", "-s", "-5"], ["test", "-s", "-x"], ["test", "-s", "--", "1 1"],
+    ["test", "-s", "1 1", "--"], ["test", "--", "-s"], ["test", "--", "a", "b"],
+    ["test", "-5"], ["test", "-1.5"], ["test", "-1."], ["test", "-1e5"], ["test", "-"],
+    ["test", "--zz"], ["test", "--zz=1", "-s", "1 1"], ["test", "-s", "1", "-s", "2 2"],
+    ["sample", "--s", "3"], ["sample", "--se", "3"], ["sample", "--sa", "3"],
+    ["sample", "--seed", "--samples", "2"], ["enumerate", "--o"], ["enumerate", "--or"],
+    ["construct", "--oracle"], ["sample", "--oracle"], ["estimate", "--oracle"],
+    ["count", "--sequence=2 2 2", "in.txt"], ["sample", "--early-reject", "--method=mr"],
+    ["enumerate", "--limit", "3", "--threads", "2", "--ordered", "--format", "text"],
+    ["estimate", "-s", "2 2 2", "--with-exact", "--samples=7", "--seed=9"],
+]
+HELP_GRID = [["-h"], ["--help"], ["--he"], ["-x", "--help"], *([c, "-h"] for c in _COMMANDS),
+             ["test", "--zz", "--help"], ["sample", "-h", "--s"],
+             ["sample", "--samples", "0", "-h"],
+             ["--help=1"], ["test", "-hx"]]
+
+
+def _reference_outcome(argv):
+    """``("ok", vars(namespace))`` from argparse, or ``("exit", code)``."""
+    sink = StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return "ok", vars(parser_reference().parse_args(argv))
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+def _table_outcome(argv):
+    out, err = StringIO(), StringIO()
+    try:
+        return "ok", vars(_parse(argv, out, err))
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+class TestParser:
+    """The option table reads the command line as argparse read it."""
+
+    @pytest.mark.parametrize("argv", PARSER_GRID + HELP_GRID, ids=repr)
+    def test_agrees_with_argparse(self, argv):
+        assert _table_outcome(argv) == _reference_outcome(argv)
+
+    def test_grid_accepts_and_refuses(self):
+        outcomes = [_reference_outcome(argv)[0] for argv in PARSER_GRID]
+        assert 60 < outcomes.count("ok") and 60 < outcomes.count("exit")
+        assert {_reference_outcome(argv) for argv in HELP_GRID} == {("exit", 0), ("exit", 2)}
+
+    def test_every_option_has_a_good_and_a_bad_value(self):
+        dests = {dest for entry in _COMMANDS.values() for _, dest, convert, _, _ in entry[2]
+                 if convert is not None}
+        assert dests == set(GOOD_BAD)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "graphreal: error: the following arguments are required: subcommand"),
+        (["nope"], "graphreal: error: argument subcommand: invalid choice: 'nope'"),
+        (["sample", "--s", "3"], "graphreal sample: error: ambiguous option: --s could "
+                                 "match --sequence, --samples, --seed"),
+        (["sample", "--samples"], "graphreal sample: error: argument --samples: "
+                                  "expected one argument"),
+        (["sample", "--method", "x"], "graphreal sample: error: argument --method: "
+                                      "invalid choice: 'x'"),
+        (["enumerate", "--threads", "x"], "graphreal enumerate: error: argument --threads: "
+                                          "invalid literal for int() with base 10: 'x'"),
+        (["test", "--forbid", "0:2"], "graphreal test: error: argument --forbid: bad spec "
+                                      "'0:2': focal label 0 out of range"),
+        (["test", "--oracle=1"], "graphreal test: error: argument --oracle: "
+                                 "ignored explicit argument '1'"),
+        (["test", "a", "b", "--zz"], "graphreal test: error: unrecognized arguments: --zz b"),
+    ])
+    def test_usage_error_text(self, argv, message):
+        out, err = StringIO(), StringIO()
+        with pytest.raises(SystemExit) as info:
+            run(argv, out=out, err=err)
+        assert (info.value.code, out.getvalue()) == (2, "")
+        usage, line = err.getvalue().splitlines()
+        assert usage.startswith("usage: graphreal")
+        assert line.startswith(message)
+
+
+class TestHelp:
+    """--help names every subcommand and option of the table, and exits 0."""
+
+    @staticmethod
+    def help_text(argv):
+        out, err = StringIO(), StringIO()
+        with pytest.raises(SystemExit) as info:
+            run(argv, out=out, err=err)
+        assert (info.value.code, err.getvalue()) == (0, "")
+        return out.getvalue()
+
+    def test_program(self):
+        text = self.help_text(["--help"])
+        assert text.startswith("usage: graphreal")
+        for command, (_, about, _) in _COMMANDS.items():
+            assert f"  {command}" in text and about in text, command
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_subcommand(self, command):
+        text = self.help_text([command, "--help"])
+        assert text.startswith(f"usage: graphreal {command}")
+        assert _COMMANDS[command][1] in text
+        for flags, _, convert, _, about in (_HELP, *_COMMANDS[command][2]):
+            for flag in flags.split():
+                assert flag in text, flag
+            assert about in text, flags
+            if type(convert) is tuple:
+                assert "{" + ",".join(convert) + "}" in text, flags
+
+    def test_subprocess(self):
+        proc = subprocess.run([sys.executable, "-m", "graphreal", "sample", "-h"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == self.help_text(["sample", "-h"])
 
 
 class TestErrors:

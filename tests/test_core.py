@@ -192,6 +192,12 @@ class TestForbiddenSet:
         x = ForbiddenSet(1, frozenset({3, 2}))
         assert x.members == frozenset({2, 3})
 
+    @pytest.mark.parametrize("focal, members", [(0, ()), (-1, {2}), (0, {1})])
+    def test_rejects_focal_below_one(self, focal, members):
+        # As AdjacencySet does; ForbiddenSet(-1, {2}) and (0, ()) used to be built.
+        with pytest.raises(InvalidSet, match=f"focal label {focal} out of range"):
+            ForbiddenSet(focal, members)
+
 
     @pytest.mark.parametrize("focal, members", [(1, {2.7}), (1.5, {2}), (1, {"a"})])
     def test_rejects_non_integer_labels(self, focal, members):

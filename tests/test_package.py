@@ -164,6 +164,19 @@ class TestStartUp:
         added = cli_modules(argv + ["--early-reject"] * early_reject)
         assert ("graphreal.constrained" in added) is early_reject
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "-s", "1 1"], ["test", "-s", "2 2", "--forbid", "1:", "--oracle"],
+        ["construct", "-s", "2 2 2", "--policy", "min"],
+        ["enumerate", "-s", "2 2 2 1 1", "--limit", "2", "--format", "jsonlines"],
+        ["count", "-s", "2 2 2"],
+        ["sample", "-s", "2 2 2 2", "--method", "mr", "--seed", "1", "--early-reject"],
+        ["estimate", "-s", "2 2 2 1 1", "--samples", "3", "--with-exact"],
+    ])
+    def test_no_call_loads_argparse(self, argv):
+        # The option table is read without argparse, and so without the
+        # gettext and locale modules that argparse loads.
+        assert not cli_modules(argv) & {"argparse", "gettext", "locale"}
+
     def test_no_call_loads_a_stubs_module(self):
         for argv in [["sample", "-s", "2 2 2 2", "--method", "mr", "--early-reject"],
                      ["sample", "-s", "2 2 2 1 1", "--samples", "2"],
